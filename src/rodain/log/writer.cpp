@@ -271,6 +271,16 @@ bool LogWriter::check_ack_timeouts() {
   return true;
 }
 
+std::optional<TimePoint> LogWriter::ack_deadline() const {
+  if (!clock_ || !ack_timeout_.is_positive()) return std::nullopt;
+  // check_ack_timeouts fires once the age EXCEEDS the timeout.
+  const Duration past = ack_timeout_ + Duration::micros(1);
+  if (mode() != LogMode::kMirror || pending_.empty()) {
+    return clock_->now() + past;
+  }
+  return pending_.begin()->second.shipped_at + past;
+}
+
 std::size_t LogWriter::resend_pending() {
   if (mode() != LogMode::kMirror || !shipper_ || pending_.empty()) {
     return 0;

@@ -120,6 +120,12 @@ class LogWriter {
   /// fired this call.
   bool check_ack_timeouts();
 
+  /// Earliest time check_ack_timeouts() can fire: the oldest pending
+  /// shipment's timeout, or — with nothing pending — one full timeout from
+  /// now (nothing shipped later can expire sooner). nullopt when the
+  /// timeout is not armed. Lets the host sleep until it instead of polling.
+  [[nodiscard]] std::optional<TimePoint> ack_deadline() const;
+
   /// Enable group commit. `schedule_flush(d)` asks the host runtime to call
   /// flush_batch() after `d`; a stale callback (the batch already drained)
   /// is harmless — flush_batch() re-arms or no-ops as needed. Pass an empty

@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -18,6 +19,11 @@ namespace rodain::net {
 
 namespace {
 constexpr std::size_t kMaxFrame = 64 * 1024 * 1024;
+
+/// Little-endian, matching ByteReader::get_u32 on the reader side.
+void store_le32(std::byte* dst, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) dst[i] = static_cast<std::byte>(v >> (8 * i));
+}
 
 void set_nodelay(int fd) {
   int one = 1;
@@ -102,33 +108,42 @@ Status TcpChannel::send(std::vector<std::byte> frame) {
   if (frame.size() > kMaxFrame) {
     return Status::error(ErrorCode::kInvalidArgument, "frame too large");
   }
-  ByteWriter header;
-  header.put_u32(static_cast<std::uint32_t>(frame.size()));
-  header.put_u32(crc32c(frame));
+  // Header and payload leave in one sendmsg: one syscall (and, with
+  // TCP_NODELAY, one segment) per frame instead of two.
+  std::byte header[8];
+  store_le32(header, static_cast<std::uint32_t>(frame.size()));
+  store_le32(header + 4, crc32c(frame));
+  iovec iov[2] = {{header, sizeof header}, {frame.data(), frame.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 2;
 
   std::lock_guard lock(write_mutex_);
-  const auto send_all = [this](const std::byte* p, std::size_t n) {
-    while (n > 0) {
-      const ssize_t w = ::send(fd_, p, n, MSG_NOSIGNAL);
-      if (w <= 0) {
-        if (w < 0 && errno == EINTR) continue;
-        return false;
+  while (msg.msg_iovlen > 0) {
+    const ssize_t w = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
+    if (w < 0 && errno == EINTR) continue;
+    if (w <= 0) {
+      // Do NOT invoke the disconnect handler from here: send() is routinely
+      // called under higher-level locks the handler needs (self-deadlock).
+      // Flag the channel and wake the reader thread, which delivers the
+      // disconnect notification from its own context.
+      if (connected_.exchange(false, std::memory_order_acq_rel)) {
+        ::shutdown(fd_, SHUT_RDWR);
       }
-      p += w;
-      n -= static_cast<std::size_t>(w);
+      return Status::error(ErrorCode::kUnavailable, "send failed");
     }
-    return true;
-  };
-  if (!send_all(header.view().data(), header.view().size()) ||
-      !send_all(frame.data(), frame.size())) {
-    // Do NOT invoke the disconnect handler from here: send() is routinely
-    // called under higher-level locks the handler needs (self-deadlock).
-    // Flag the channel and wake the reader thread, which delivers the
-    // disconnect notification from its own context.
-    if (connected_.exchange(false, std::memory_order_acq_rel)) {
-      ::shutdown(fd_, SHUT_RDWR);
+    // Partial write: skip the iovecs (and the part of one) that went out.
+    auto sent = static_cast<std::size_t>(w);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
     }
-    return Status::error(ErrorCode::kUnavailable, "send failed");
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base =
+          static_cast<std::byte*>(msg.msg_iov->iov_base) + sent;
+      msg.msg_iov->iov_len -= sent;
+    }
   }
   return Status::ok();
 }

@@ -66,9 +66,13 @@ void ApplyPool::worker_loop() {
     work_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
     if (stop_) return;
     seen = generation_;
+    // Woke after the wave already closed: its epoch may be gone and the
+    // cursor may belong to the next wave.
+    if (!wave_open_) continue;
     const std::vector<log::ReleasedTxn>* epoch = epoch_;
     const ApplyFn* fn = fn_;
     const std::size_t end = wave_end_;
+    ++busy_;
     lock.unlock();
     std::size_t done = 0;
     for (;;) {
@@ -77,15 +81,10 @@ void ApplyPool::worker_loop() {
       (*fn)((*epoch)[i]);
       ++done;
     }
-    if (done > 0) {
-      applied_.fetch_add(done, std::memory_order_acq_rel);
-      // Empty critical section: a coordinator between its predicate check
-      // and the wait sleep holds mu_, so acquiring it here orders this
-      // notify after that sleep begins — no lost wakeup.
-      { std::lock_guard relock(mu_); }
-      done_cv_.notify_one();
-    }
+    applied_.fetch_add(done, std::memory_order_acq_rel);
     lock.lock();
+    --busy_;
+    done_cv_.notify_one();
   }
 }
 
@@ -105,6 +104,7 @@ void ApplyPool::run_wave(const std::vector<log::ReleasedTxn>& epoch,
     wave_end_ = end;
     next_.store(begin, std::memory_order_relaxed);
     applied_.store(0, std::memory_order_relaxed);
+    wave_open_ = true;
     ++generation_;
   }
   work_cv_.notify_all();
@@ -116,11 +116,12 @@ void ApplyPool::run_wave(const std::vector<log::ReleasedTxn>& epoch,
     fn(epoch[i]);
     ++done;
   }
-  if (done > 0) applied_.fetch_add(done, std::memory_order_acq_rel);
+  applied_.fetch_add(done, std::memory_order_acq_rel);
   std::unique_lock lock(mu_);
   done_cv_.wait(lock, [&] {
-    return applied_.load(std::memory_order_acquire) == n;
+    return busy_ == 0 && applied_.load(std::memory_order_acquire) == n;
   });
+  wave_open_ = false;
 }
 
 void ApplyPool::apply(const std::vector<log::ReleasedTxn>& epoch,

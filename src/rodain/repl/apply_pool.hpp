@@ -98,6 +98,12 @@ class ApplyPool {
   const ApplyFn* fn_{nullptr};
   std::size_t wave_end_{0};
   std::uint64_t generation_{0};
+  /// A worker joins a wave only while it is open, and counts itself in
+  /// busy_ until its last cursor claim; the coordinator closes the wave
+  /// only at busy_ == 0. So no claim on next_ can land after the reset for
+  /// the next wave (both under mu_).
+  bool wave_open_{false};
+  std::size_t busy_{0};
   std::atomic<std::size_t> next_{0};
   std::atomic<std::size_t> applied_{0};
   bool stop_{false};

@@ -380,10 +380,14 @@ void MirrorService::release_epoch(std::vector<log::ReleasedTxn> epoch) {
     for (const log::ReleasedTxn& t : epoch) {
       for (const log::Record& r : t.records) disk_->append(r);
     }
-    // Asynchronous, off the commit path; SimDiskLogStorage coalesces
-    // concurrent requests into group flushes. The completion can fire after
-    // this service is torn down (takeover), so it only touches the shared
-    // health block — poll()/take_over() fold failures into stats.
+    // On the commit path: the cumulative ack below goes out only after this
+    // flush returns. The file and segmented stores write synchronously
+    // inside flush() (SegmentedLogStorage::flush writes the pending bytes,
+    // and fsyncs when configured, before completing); only
+    // SimDiskLogStorage completes later, coalescing concurrent requests
+    // into group flushes. The completion can fire after this service is
+    // torn down (takeover), so it only touches the shared health block —
+    // poll()/take_over() fold failures into stats.
     disk_->flush([health = disk_health_](Status s) {
       if (!s) health->failures.fetch_add(1, std::memory_order_relaxed);
     });

@@ -222,4 +222,11 @@ Result<Frame> decode_framed(std::span<const std::byte> frame) {
   return f;
 }
 
+bool frame_serves_join(std::span<const std::byte> frame) {
+  constexpr std::size_t kTypeOffset = 4 + 8 + 8;  // crc, epoch, frame_seq
+  if (frame.size() <= kTypeOffset) return true;
+  const auto type = static_cast<MsgType>(frame[kTypeOffset]);
+  return type == MsgType::kJoinRequest || type == MsgType::kChunkRetry;
+}
+
 }  // namespace rodain::repl

@@ -97,4 +97,11 @@ void encode_framed_into(std::uint64_t epoch, std::uint64_t frame_seq,
                         const Message& m, ByteWriter& w);
 [[nodiscard]] Result<Frame> decode_framed(std::span<const std::byte> frame);
 
+/// Whether a framed message may make the receiving primary serve a joiner
+/// from its live state (kJoinRequest, kChunkRetry). Reads only the type
+/// byte behind the envelope — no crc check, no decode — so a transport
+/// wrapper can route frames cheaply. A frame too short to tell counts as
+/// serving a join: the caller then takes the conservative path.
+[[nodiscard]] bool frame_serves_join(std::span<const std::byte> frame);
+
 }  // namespace rodain::repl

@@ -9,6 +9,7 @@
 #include "rodain/log/reorder.hpp"
 #include "rodain/log/segment.hpp"
 #include "rodain/obs/obs.hpp"
+#include "rodain/repl/protocol.hpp"
 #include "rodain/storage/checkpoint.hpp"
 #include "rodain/storage/fuzzy_checkpoint.hpp"
 
@@ -28,6 +29,9 @@ struct NodeMetrics {
       obs::metrics().counter("node.role_transitions");
   obs::Timer& commit_latency = obs::metrics().timer("node.commit_latency_us");
   obs::Timer& commit_mu_wait = obs::metrics().timer("node.commit_mu_wait");
+  /// Acked transactions finalized on the channel thread, not a worker.
+  obs::Counter& finished_on_ack =
+      obs::metrics().counter("node.txn.finished_on_ack");
   obs::Gauge& role = obs::metrics().gauge("node.role");
   obs::Gauge& active_txns = obs::metrics().gauge("node.active_txns");
   obs::Gauge& miss_ratio = obs::metrics().gauge("node.miss_ratio");
@@ -65,23 +69,30 @@ void Node::GuardedChannel::set_message_handler(MessageHandler handler) {
   const std::uint64_t epoch = node_.channel_epoch_;
   inner_.set_message_handler(
       [node, epoch, h = std::move(handler)](std::vector<std::byte> frame) {
-        std::unique_lock lock(node->commit_mu_);
-        if (node->channel_epoch_ != epoch) return;  // role torn down
-        // Parallel commit path (DESIGN.md §13): frames can serve joins,
-        // whose snapshot boundary is the installed low-water. Seal first so
-        // the log writer's tail covers every installed transaction, and
-        // hold the install gate while the handler walks replication state
-        // so no committer is mid-install under it.
-        std::unique_lock<std::shared_mutex> gate;
-        if (node->engine_ && node->engine_->parallel_commit()) {
-          node->engine_->seal_epoch();
-          gate = std::unique_lock(node->engine_->install_gate());
+        std::vector<std::pair<DoneFn, CommitInfo>> callbacks;
+        {
+          std::unique_lock lock(node->commit_mu_);
+          if (node->channel_epoch_ != epoch) return;  // role torn down
+          // Parallel commit path (DESIGN.md §13): join frames serve a
+          // snapshot whose boundary is the installed low-water. Seal first
+          // so the log writer's tail covers every installed transaction,
+          // and hold the install gate while the handler walks replication
+          // state so no committer is mid-install under it. Acks and
+          // heartbeats read no store state and skip both.
+          std::unique_lock<std::shared_mutex> gate;
+          if (node->engine_ && node->engine_->parallel_commit() &&
+              repl::frame_serves_join(frame)) {
+            node->engine_->seal_epoch();
+            gate = std::unique_lock(node->engine_->install_gate());
+          }
+          // Commit acks finish parked transactions right here (see
+          // finish_parked_locked); their done callbacks run below, after
+          // commit_mu_ is released.
+          node->ack_callbacks_ = &callbacks;
+          if (h) h(std::move(frame));
+          node->ack_callbacks_ = nullptr;
         }
-        if (h) h(std::move(frame));
-        // Frames can complete transactions (commit acks): wake workers.
-        // (The resume itself went through push_ready above, under
-        // commit_mu_, so parked owners cannot miss it.)
-        node->ready_cv_.notify_all();
+        for (auto& [cb, info] : callbacks) cb(info);
       });
 }
 
@@ -231,6 +242,8 @@ void Node::become_locked(NodeRole role) {
     availability_.set_serving(false, t);
   }
   availability_.publish_metrics("node.avail", t);
+  // The heartbeat loop watches per-role deadlines; let it re-plan.
+  service_cv_.notify_all();
 }
 
 void Node::escalate_mirror_lost_locked(const char* why) {
@@ -274,6 +287,7 @@ void Node::build_primary_locked(LogMode mode) {
         link_down_since_ = clock_.now();
         RODAIN_INFO("%s: mirror link down, grace %lld us", name_.c_str(),
                     static_cast<long long>(config_.disconnect_grace.us));
+        service_cv_.notify_all();  // the grace expiry is a new deadline
       }
     };
     hooks.on_reconnected = [this] {
@@ -331,7 +345,10 @@ void Node::build_primary_locked(LogMode mode) {
   engine::Engine::Hooks hooks;
   hooks.on_victim_restart = [this](TxnId id) { push_ready(id); };
   hooks.on_lock_granted = [this](TxnId id) { push_ready(id); };
-  hooks.on_log_durable = [this](TxnId id) { push_ready(id); };
+  hooks.on_log_durable = [this](TxnId id) {
+    if (ack_callbacks_ && finish_parked_locked(id, *ack_callbacks_)) return;
+    push_ready(id);
+  };
   engine_ = std::make_unique<engine::Engine>(config_.engine, store_, &index_,
                                              *log_writer_, std::move(hooks));
   if (recovery_ && recovery_->active()) {
@@ -361,8 +378,9 @@ void Node::start_primary(LogMode mode, net::Channel* peer) {
     checkpointer_ = std::thread([this] {
       std::unique_lock ckpt_lock(commit_mu_);
       while (!stopping_.load(std::memory_order_relaxed)) {
-        timer_cv_.wait_for(
-            ckpt_lock, std::chrono::microseconds(config_.checkpoint_interval.us));
+        service_cv_.wait_for(
+            ckpt_lock,
+            std::chrono::microseconds(config_.checkpoint_interval.us));
         if (stopping_.load(std::memory_order_relaxed) || !serving_locked()) {
           continue;
         }
@@ -372,8 +390,8 @@ void Node::start_primary(LogMode mode, net::Channel* peer) {
           // redo index; wait for the sweep to drain it.
           continue;
         }
-        // The Checkpointer owns the cadence (the cv also wakes on every
-        // submit) and truncates the log after each successful write.
+        // The Checkpointer owns the cadence (a spurious wake is a no-op
+        // tick) and truncates the log after each successful write.
         ckpt_.tick(clock_.now());
       }
     });
@@ -397,7 +415,7 @@ void Node::sweeper_loop() {
       finish_recovery_locked("background sweep drained");
       break;
     }
-    timer_cv_.wait_for(
+    service_cv_.wait_for(
         lock, std::chrono::microseconds(config_.recovery_sweep_interval.us));
   }
 }
@@ -431,12 +449,16 @@ void Node::start_sampler_locked() {
   }
   sampler_ = std::thread([this] {
     std::unique_lock lock(commit_mu_);
+    // Deadline-driven: one row per interval however often the cv wakes.
+    TimePoint next = clock_.now() + config_.metrics_snapshot_interval;
     while (!stopping_.load(std::memory_order_relaxed)) {
-      timer_cv_.wait_for(
-          lock,
-          std::chrono::microseconds(config_.metrics_snapshot_interval.us));
-      if (stopping_.load(std::memory_order_relaxed)) break;
+      const TimePoint now = clock_.now();
+      if (now < next) {
+        service_cv_.wait_for(lock, std::chrono::microseconds((next - now).us));
+        continue;
+      }
       sample_metrics_locked();
+      next = now + config_.metrics_snapshot_interval;
     }
   });
 }
@@ -873,6 +895,7 @@ void Node::stop() {
   }
   ready_cv_.notify_all();
   timer_cv_.notify_all();
+  service_cv_.notify_all();
   // Join BEFORE sweeping active_: a worker in the lock-free read phase holds
   // a raw Transaction pointer with no mutex, so the entries must outlive it.
   for (std::thread& w : workers_) {
@@ -914,6 +937,7 @@ void Node::stop() {
 
 void Node::submit(txn::TxnProgram program, DoneFn done) {
   std::vector<std::pair<DoneFn, CommitInfo>> callbacks;
+  bool wake_timer = false;
   {
     std::unique_lock lock(commit_mu_);
     ++counters_.submitted;
@@ -940,7 +964,11 @@ void Node::submit(txn::TxnProgram program, DoneFn done) {
       a.done = std::move(done);
       if (obs::enabled()) a.txn->stages.enter(obs::Stage::kAdmit, now.us);
       engine_->begin(*a.txn);
-      if (deadline != TimePoint::max()) deadlines_.emplace(deadline, id);
+      if (deadline != TimePoint::max()) {
+        a.deadline_slot = deadlines_.emplace(deadline, id);
+        // Wake the timer only if it would otherwise sleep past this one.
+        wake_timer = deadline < timer_wake_at_;
+      }
       if (obs::enabled()) {
         // Admission work done; the clock ticks in kQueueWait until a worker
         // picks the transaction up (step_read_phase stamps kReadPhase).
@@ -953,7 +981,7 @@ void Node::submit(txn::TxnProgram program, DoneFn done) {
       push_ready(id);
     }
   }
-  timer_cv_.notify_one();
+  if (wake_timer) timer_cv_.notify_one();
   for (auto& [cb, info] : callbacks) cb(info);
 }
 
@@ -1043,6 +1071,35 @@ void Node::push_ready(TxnId id) {
   }
   ready_.emplace(a.txn->priority(), id);
   ready_cv_.notify_one();
+}
+
+bool Node::finish_parked_locked(
+    TxnId id, std::vector<std::pair<DoneFn, CommitInfo>>& callbacks) {
+  txn::Transaction* t = nullptr;
+  {
+    std::lock_guard q(queue_mu_);
+    auto it = active_.find(id);
+    if (it == active_.end()) return false;
+    // Ownership first: an owner may still be writing the phase unlocked;
+    // an unowned entry quiesced its phase writes before releasing
+    // ownership under queue_mu_. An owned one takes the resume_pending
+    // path in push_ready.
+    if (it->second.owned_by_worker ||
+        it->second.txn->phase() != txn::Phase::kWaitLogAck) {
+      return false;
+    }
+    t = it->second.txn.get();
+  }
+  // Parked and unowned: no worker can reach it (it is not in ready_, and
+  // every path that could queue it holds commit_mu_, as we do). Finalizing
+  // is O(1) bookkeeping, so it does not go back through the EDF queue (nor
+  // burn the fidelity mode's modelled commit_finalize cost).
+  const engine::StepResult r = engine_->step(*t);
+  assert(r.action == engine::StepAction::kCommitted);
+  (void)r;
+  nm().finished_on_ack.inc();
+  finish_locked(id, TxnOutcome::kCommitted, callbacks);
+  return true;
 }
 
 void Node::lock_commit(std::unique_lock<std::mutex>& lock) {
@@ -1226,6 +1283,7 @@ void Node::finish_locked(TxnId id, TxnOutcome outcome,
     a = std::move(it->second);
     active_.erase(it);
   }
+  if (a.deadline_slot) deadlines_.erase(*a.deadline_slot);
   overload_.on_finish();
 
   const TimePoint now = clock_.now();
@@ -1296,6 +1354,7 @@ void Node::timer_loop() {
       next = *log_flush_at_;
     }
     if (!next) {
+      timer_wake_at_ = TimePoint::max();
       timer_cv_.wait(lock, [this] {
         return stopping_.load(std::memory_order_relaxed) ||
                !deadlines_.empty() || log_flush_at_.has_value();
@@ -1304,6 +1363,7 @@ void Node::timer_loop() {
     }
     const TimePoint now = clock_.now();
     if (now < *next) {
+      timer_wake_at_ = *next;
       timer_cv_.wait_for(lock, std::chrono::microseconds((*next - now).us));
       continue;
     }
@@ -1322,6 +1382,7 @@ void Node::timer_loop() {
         auto it = active_.find(id);
         if (it == active_.end()) continue;
         Active& a = it->second;
+        a.deadline_slot.reset();  // erased above
         // Ownership first: a parallel-commit owner mutates the phase with
         // neither node mutex held, so can_abort (which reads it) may only
         // run on unowned entries — those quiesced their phase writes before
@@ -1356,44 +1417,76 @@ void Node::timer_loop() {
 void Node::heartbeat_loop() {
   std::unique_lock lock(commit_mu_);
   const repl::Watchdog watchdog(config_.watchdog_timeout);
+  // Deadlines sit one microsecond past each limit: the checks below fire
+  // only once the limit is strictly exceeded.
+  const Duration past = Duration::micros(1);
+  TimePoint next_beat = clock_.now() + config_.heartbeat_interval;
   while (!stopping_.load(std::memory_order_relaxed)) {
-    timer_cv_.wait_for(
-        lock, std::chrono::microseconds(config_.heartbeat_interval.us));
-    if (stopping_.load(std::memory_order_relaxed)) return;
-    switch (role_.load(std::memory_order_relaxed)) {
+    // Sleep until the earliest deadline the current role watches. Inputs
+    // that only push a deadline later (frames refreshing last_heard, acks
+    // draining the pending set) need no wake-up; role flips, a dropped
+    // link and stop() notify service_cv_.
+    const NodeRole r = role_.load(std::memory_order_relaxed);
+    TimePoint wake = next_beat;
+    if (r == NodeRole::kPrimaryWithMirror && replicator_) {
+      wake = std::min(wake,
+                      replicator_->last_heard() + watchdog.timeout() + past);
+      if (link_down_since_) {
+        wake = std::min(
+            wake, *link_down_since_ + config_.disconnect_grace + past);
+      }
+      if (log_writer_) {
+        if (auto ack = log_writer_->ack_deadline()) wake = std::min(wake, *ack);
+      }
+    } else if (r == NodeRole::kMirror && mirror_) {
+      wake = std::min(wake, mirror_->last_heard() + watchdog.timeout() + past);
+    }
+    TimePoint now = clock_.now();
+    if (now < wake) {
+      service_cv_.wait_for(lock, std::chrono::microseconds((wake - now).us));
+      continue;
+    }
+    const bool beat = now >= next_beat;
+    if (beat) next_beat = now + config_.heartbeat_interval;
+    switch (r) {
       case NodeRole::kPrimaryWithMirror:
         if (replicator_) {
-          replicator_->send_heartbeat(
-              role(), engine_ ? engine_->installed_low_water() : 0);
-          replicator_->poll(clock_.now());
+          if (beat) {
+            replicator_->send_heartbeat(
+                r, engine_ ? engine_->installed_low_water() : 0);
+            replicator_->poll(now);
+          }
           if (link_down_since_ && replicator_->channel_connected()) {
             link_down_since_.reset();
           }
+          now = clock_.now();
           if (link_down_since_ &&
-              clock_.now() - *link_down_since_ > config_.disconnect_grace) {
+              now - *link_down_since_ > config_.disconnect_grace) {
             escalate_mirror_lost_locked("disconnect grace expired");
             break;
           }
           if (log_writer_ && log_writer_->check_ack_timeouts()) break;
           if (role_.load(std::memory_order_relaxed) ==
                   NodeRole::kPrimaryWithMirror &&
-              watchdog.expired(clock_.now(), replicator_->last_heard())) {
+              watchdog.expired(now, replicator_->last_heard())) {
             RODAIN_INFO("%s: watchdog expired for mirror", name_.c_str());
             escalate_mirror_lost_locked("watchdog expired");
           }
         }
         break;
       case NodeRole::kPrimaryAlone:
-        if (replicator_) {
+        if (replicator_ && beat) {
           replicator_->send_heartbeat(
-              role(), engine_ ? engine_->installed_low_water() : 0);
-          replicator_->poll(clock_.now());
+              r, engine_ ? engine_->installed_low_water() : 0);
+          replicator_->poll(now);
         }
         break;
       case NodeRole::kMirror:
         if (mirror_) {
-          mirror_->send_heartbeat();
-          mirror_->poll(clock_.now());
+          if (beat) {
+            mirror_->send_heartbeat();
+            mirror_->poll(now);
+          }
           if (watchdog.expired(clock_.now(), mirror_->last_heard())) {
             RODAIN_INFO("%s: watchdog expired for primary, taking over",
                         name_.c_str());
@@ -1408,9 +1501,9 @@ void Node::heartbeat_loop() {
       case NodeRole::kRecovering:
         // Keep the primary's watchdog fed while the snapshot installs, and
         // drive the join retry/chunk-retry machinery.
-        if (mirror_) {
+        if (mirror_ && beat) {
           mirror_->send_heartbeat();
-          mirror_->poll(clock_.now());
+          mirror_->poll(now);
         }
         break;
       case NodeRole::kDown:

@@ -15,6 +15,25 @@
 // NEITHER mutex held (Engine::step_read_unlocked): reads come from
 // per-record seqlock snapshots and the B+-tree's reader lock. Lock order:
 // commit_mu_ -> queue_mu_ -> per-transaction leaf mutexes.
+//
+// The commit path is event-driven. Background threads sleep until their
+// own deadline and are not woken by per-transaction traffic:
+// - the timer thread has its own cv (`timer_cv_`), notified by submit()
+//   only when the new firm deadline is earlier than the timer's planned
+//   wake-up, by the group-commit flush hook and by stop(); a finished
+//   txn's deadline entry is erased, so the timer never acts for it;
+// - the heartbeat thread sleeps until the earliest of the next beat, the
+//   watchdog deadline (last heard + watchdog_timeout), the disconnect-grace
+//   expiry and the oldest pending ack's timeout, and acts only on the one
+//   that came due. It shares `service_cv_` with the checkpointer, sampler
+//   and sweeper; only role flips, a dropped link and stop() notify it.
+// - A mirror ack finishes a parked transaction (unowned, in kWaitLogAck)
+//   on the channel thread: finalizing is O(1) bookkeeping, so it skips
+//   the EDF queue and the worker hop. Done callbacks run after commit_mu_
+//   is released. A transaction a worker still owns takes the
+//   resume_pending path instead.
+// - Only frames that can serve a join seal the epoch and take the install
+//   gate in the channel handler; acks and heartbeats skip both.
 #pragma once
 
 #include <atomic>
@@ -196,6 +215,9 @@ class Node {
     bool owned_by_worker{false};
     bool resume_pending{false};
     bool late{false};
+    /// This txn's entry in deadlines_ (under commit_mu_); erased when the
+    /// txn finishes so the timer never wakes for a finished txn.
+    std::optional<std::multimap<TimePoint, TxnId>::iterator> deadline_slot;
   };
 
   /// Wraps the raw channel so every inbound frame and disconnect runs
@@ -253,6 +275,12 @@ class Node {
   /// resume paths (log-durable, lock-granted, victim-restart hooks) hold
   /// commit_mu_, which is what makes park-vs-resume race-free.
   void push_ready(TxnId id);
+  /// Log-durable hook on the channel thread: if `id` is parked (unowned,
+  /// in kWaitLogAck), finalize and finish it here, appending its done
+  /// callback to `callbacks`. False leaves it to push_ready (a worker owns
+  /// it, or it is not waiting for the log). Requires commit_mu_.
+  bool finish_parked_locked(
+      TxnId id, std::vector<std::pair<DoneFn, CommitInfo>>& callbacks);
   /// Acquire commit_mu_ into `lock`, timing contended waits.
   void lock_commit(std::unique_lock<std::mutex>& lock);
   /// Drive one owned transaction to a boundary. Entered with queue_mu_
@@ -273,7 +301,13 @@ class Node {
   /// structure is written under BOTH mutexes, so either lock may read it.
   mutable std::mutex queue_mu_;
   std::condition_variable ready_cv_;  ///< pairs with queue_mu_
-  std::condition_variable timer_cv_;  ///< pairs with commit_mu_
+  /// Timer thread only (pairs with commit_mu_): a new earliest deadline, a
+  /// group-commit flush request, stop().
+  std::condition_variable timer_cv_;
+  /// Heartbeat, checkpointer, sampler and sweeper threads (pairs with
+  /// commit_mu_): each sleeps until its own deadline; role flips, a
+  /// dropped mirror link and stop() notify.
+  std::condition_variable service_cv_;
   /// Written under commit_mu_ AND queue_mu_ together (so both cv waits see
   /// it); atomic because unlocked read-phase workers poll it with no lock.
   std::atomic<bool> stopping_{false};
@@ -307,6 +341,10 @@ class Node {
   /// When the mirror link dropped (primary side, under commit_mu_);
   /// escalation waits out config_.disconnect_grace.
   std::optional<TimePoint> link_down_since_;
+  /// Set (under commit_mu_) while a channel handler runs: the done
+  /// callbacks of transactions finished on that thread collect here and
+  /// run once the handler has released commit_mu_.
+  std::vector<std::pair<DoneFn, CommitInfo>>* ack_callbacks_{nullptr};
 
   std::unordered_map<TxnId, Active> active_;
   struct ReadyOrder {
@@ -319,6 +357,10 @@ class Node {
   };
   std::set<std::pair<PriorityKey, TxnId>, ReadyOrder> ready_;
   std::multimap<TimePoint, TxnId> deadlines_;
+  /// When the sleeping timer thread will wake on its own (max: not until
+  /// notified). Set by the timer under commit_mu_ before each wait; a
+  /// submit whose deadline is not earlier needs no notify.
+  TimePoint timer_wake_at_{TimePoint::max()};
   /// Earliest requested group-commit flush; the timer thread calls
   /// LogWriter::flush_batch() when it comes due (under commit_mu_).
   std::optional<TimePoint> log_flush_at_;

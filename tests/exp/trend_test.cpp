@@ -7,6 +7,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include <unistd.h>
+
 namespace rodain::exp::trend {
 namespace {
 
@@ -179,7 +181,12 @@ TEST(TrendCompare, UngatedFieldsAreIgnored) {
 class TrendDirsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = std::filesystem::temp_directory_path() / "rodain_trend_test";
+    // Per-pid, per-test: ctest runs each case in its own process, in
+    // parallel, so a shared fixed directory lets one case's TearDown
+    // delete another's files.
+    root_ = std::filesystem::temp_directory_path() /
+            ("rodain_trend_test_" + std::to_string(::getpid()) + "_" +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::remove_all(root_);
     base_ = root_ / "baseline";
     cur_ = root_ / "current";

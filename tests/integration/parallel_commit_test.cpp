@@ -17,6 +17,7 @@
 #include "rodain/net/tcp.hpp"
 #include "rodain/obs/obs.hpp"
 #include "rodain/rt/node.hpp"
+#include "tcp_pair.hpp"
 
 namespace rodain {
 namespace {
@@ -26,32 +27,6 @@ using namespace rodain::literals;
 storage::Value zeros8() {
   return storage::Value{std::string_view{"\0\0\0\0\0\0\0\0", 8}};
 }
-
-struct TcpPair {
-  std::unique_ptr<net::TcpServer> server;
-  std::unique_ptr<net::TcpChannel> client_end;
-  std::unique_ptr<net::TcpChannel> server_end;
-
-  static TcpPair make() {
-    TcpPair p;
-    std::mutex mu;
-    std::condition_variable cv;
-    auto server =
-        net::TcpServer::listen(0, [&](std::unique_ptr<net::TcpChannel> ch) {
-          std::lock_guard lock(mu);
-          p.server_end = std::move(ch);
-          cv.notify_all();
-        });
-    p.server = std::move(server).value();
-    p.client_end =
-        std::move(net::TcpChannel::connect("127.0.0.1", p.server->port(), 2_s))
-            .value();
-    std::unique_lock lock(mu);
-    cv.wait_for(lock, std::chrono::seconds(2),
-                [&] { return p.server_end != nullptr; });
-    return p;
-  }
-};
 
 // Serializability across disjoint AND overlapping key sets at 4 workers.
 // Group transactions read a shared hot object and increment their own group

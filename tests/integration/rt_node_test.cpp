@@ -13,6 +13,7 @@
 #include "rodain/net/tcp.hpp"
 #include "rodain/obs/obs.hpp"
 #include "rodain/rt/node.hpp"
+#include "tcp_pair.hpp"
 #include "rodain/workload/number_translation.hpp"
 
 namespace rodain {
@@ -101,29 +102,6 @@ TEST(RtNode, DirectDiskLoggingSurvivesRestart) {
   EXPECT_EQ(recovered.find(1)->value.read_u64(0), 42u);
   std::filesystem::remove(log_path);
 }
-
-struct TcpPair {
-  std::unique_ptr<net::TcpServer> server;
-  std::unique_ptr<net::TcpChannel> client_end;
-  std::unique_ptr<net::TcpChannel> server_end;
-
-  static TcpPair make() {
-    TcpPair p;
-    std::mutex mu;
-    std::condition_variable cv;
-    auto server = net::TcpServer::listen(0, [&](std::unique_ptr<net::TcpChannel> ch) {
-      std::lock_guard lock(mu);
-      p.server_end = std::move(ch);
-      cv.notify_all();
-    });
-    p.server = std::move(server).value();
-    p.client_end =
-        std::move(net::TcpChannel::connect("127.0.0.1", p.server->port(), 2_s)).value();
-    std::unique_lock lock(mu);
-    cv.wait_for(lock, std::chrono::seconds(2), [&] { return p.server_end != nullptr; });
-    return p;
-  }
-};
 
 TEST(RtNode, TwoNodeLogShippingOverTcp) {
   auto tcp = TcpPair::make();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -114,7 +115,14 @@ TEST(Seqlock, ConcurrentReadersNeverObserveTornValues) {
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&] {
-      for (int i = 0; i < 50000; ++i) {
+      // At least 50000 reads, and on until one is a hit: on an
+      // oversubscribed host all 50000 can fall inside one preemption of
+      // the writer mid-write, where every read is (rightly) contended.
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      for (int i = 0; i < 50000 || (hits.load(std::memory_order_relaxed) == 0 &&
+                                    std::chrono::steady_clock::now() < give_up);
+           ++i) {
         ObjectRecord out;
         std::uint32_t retries = 0;
         if (store.read_optimistic(7, out, retries) != OptimisticRead::kHit) {
