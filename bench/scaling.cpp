@@ -1,11 +1,14 @@
 // Multicore scaling of the primary (DESIGN.md §11, §13): sweep the worker
 // count 1 -> 8 over the paper's number-translation workload and report
 // committed throughput, commit latency tails, seqlock retries, reader
-// fences and commit-mutex wait per point. Two mixes per sweep: the paper's
-// read-heavy service-provision mix (lock-free read phase: 4 workers carry
-// at least 2x the committed throughput of 1) and a write-heavy mix that
-// exercises the parallel commit path — per-worker redo buffers and the
-// epoch sealer keep lock_wait_ms flat where the serial funnel grew it.
+// fences and commit-mutex wait per point. The primary runs alone with
+// LogMode::kOff, so no replication cost is in these figures. Two mixes per
+// sweep: the paper's read-heavy service-provision mix (lock-free read
+// phase) and a write-heavy mix that exercises the parallel commit path
+// (per-worker redo buffers and the epoch sealer). `speedup_at_4` is the
+// read-heavy mix's committed throughput at 4 workers over 1 worker. It
+// measures whether extra workers pay; they do not yet: on a 4-core host it
+// measured 0.84-0.98x, short of the 2x target in ROADMAP.md (item 4).
 //
 // A third sweep covers the other end of the wire (DESIGN.md §14): the
 // mirror's epoch-parallel apply at widths 1/2/4 over a write-heavy redo
@@ -246,6 +249,7 @@ MirrorApplyPoint run_mirror_apply(std::size_t workers,
         TimePoint{static_cast<std::int64_t>(i + 1) * kArrivalUs}, [&, i] {
           std::vector<log::Record> records = stream[i].records;
           writer.submit(stream[i].seq, std::move(records), {});
+          writer.pump();
           last_submitted = stream[i].seq;
         });
     (void)t;

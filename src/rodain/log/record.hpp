@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -64,6 +65,11 @@ struct Record {
 
   friend bool operator==(const Record& a, const Record& b);
 };
+
+/// One transaction's complete record set ([after-images..., commit]),
+/// immutable once submitted. The log writer's pending, tail and outbox
+/// entries share it, so sealing a transaction copies none of its records.
+using TxnRecords = std::shared_ptr<const std::vector<Record>>;
 
 /// Append one framed record.
 void encode_record(const Record& r, ByteWriter& out);

@@ -75,7 +75,10 @@ void LogWriter::mark_stage(obs::StageClock* stages, obs::Stage s) const {
 void LogWriter::submit(ValidationTs seq, std::vector<Record> records,
                        std::function<void()> on_durable,
                        obs::StageClock* stages) {
-  tail_[seq] = records;
+  // One shared, immutable record set serves the tail, the pending entry
+  // and the outbox: nothing is copied here, in the serial context.
+  auto shared = std::make_shared<const std::vector<Record>>(std::move(records));
+  tail_.emplace_hint(tail_.end(), seq, shared);
   while (tail_.size() > kTailRetention) tail_.erase(tail_.begin());
   switch (mode()) {
     case LogMode::kOff:
@@ -87,28 +90,24 @@ void LogWriter::submit(ValidationTs seq, std::vector<Record> records,
       ++counters_.via_mirror;
       wm().via_mirror.inc();
       const std::int64_t shipped_at = obs::enabled() ? obs::now_us() : 0;
-      std::size_t bytes = 0;
-      for (const Record& r : records) bytes += r.encoded_size();
-      // Register before shipping: a synchronous (loopback) ack must find
-      // the pending entry, or the durable callback would be lost.
-      batch_records_.insert(batch_records_.end(), records.begin(),
-                            records.end());
+      for (const Record& r : *shared) batch_bytes_ += r.encoded_size();
+      batch_.push_back(shared);
       batch_stages_.push_back(stages);
+      // Register before any pump can ship it: a synchronous (loopback) ack
+      // must find the pending entry, or the durable callback would be lost.
       pending_.emplace(seq,
-                       Pending{std::move(records), std::move(on_durable),
+                       Pending{std::move(shared), std::move(on_durable),
                                shipped_at,
                                clock_ ? clock_->now() : TimePoint{}, stages});
       wm().pending_acks.set(static_cast<double>(pending_.size()));
-      ++batch_txns_;
-      batch_bytes_ += bytes;
-      wm().batch_buffered.set(static_cast<double>(batch_txns_));
-      if (batch_opts_.max_txns != 0 && batch_txns_ >= batch_opts_.max_txns) {
+      wm().batch_buffered.set(static_cast<double>(batch_.size()));
+      if (batch_opts_.max_txns != 0 && batch_.size() >= batch_opts_.max_txns) {
         drain_batch(batch_opts_.max_txns <= 1 ? FillCause::kForced
                                               : FillCause::kTxns);
       } else if (batch_opts_.max_bytes != 0 &&
                  batch_bytes_ >= batch_opts_.max_bytes) {
         drain_batch(FillCause::kBytes);
-      } else if (batch_txns_ == 1 && batch_opts_.max_delay.is_positive() &&
+      } else if (batch_.size() == 1 && batch_opts_.max_delay.is_positive() &&
                  batch_clock_) {
         // First txn of a fresh batch: open the delay window.
         batch_deadline_ = batch_clock_->now() + batch_delay_;
@@ -119,13 +118,13 @@ void LogWriter::submit(ValidationTs seq, std::vector<Record> records,
     case LogMode::kDirectDisk:
       ++counters_.via_disk;
       wm().via_disk.inc();
-      submit_to_disk(std::move(records), std::move(on_durable), stages);
+      submit_to_disk(*shared, std::move(on_durable), stages);
       return;
   }
 }
 
 void LogWriter::flush_batch() {
-  if (batch_txns_ == 0) return;
+  if (batch_.empty()) return;
   if (batch_deadline_ && batch_clock_ &&
       batch_clock_->now() < *batch_deadline_) {
     // The timer that called us was armed for an older batch that already
@@ -136,27 +135,22 @@ void LogWriter::flush_batch() {
     }
   }
   drain_batch(batch_deadline_ ? FillCause::kDelay : FillCause::kForced);
+  pump();
 }
 
 void LogWriter::drain_batch(FillCause cause) {
-  if (batch_txns_ == 0) return;
+  if (batch_.empty()) return;
   if (batch_opts_.adaptive_delay && batch_opts_.max_delay.is_positive()) {
     const Duration floor =
         std::max(Duration::micros(1), batch_opts_.max_delay / 8);
     if (cause == FillCause::kTxns || cause == FillCause::kBytes) {
       batch_delay_ = std::min(batch_opts_.max_delay, batch_delay_ * 2);
     } else if (cause == FillCause::kDelay &&
-               batch_txns_ * 2 < batch_opts_.max_txns) {
+               batch_.size() * 2 < batch_opts_.max_txns) {
       // The window expired under half full: light load should not pay it.
       batch_delay_ = std::max(floor, batch_delay_ / 2);
     }
   }
-  ++counters_.batches_shipped;
-  counters_.batch_txns_shipped += batch_txns_;
-  counters_.batch_bytes_shipped += batch_bytes_;
-  wm().batch_shipped.inc();
-  wm().batch_txns.inc(batch_txns_);
-  wm().batch_bytes.inc(batch_bytes_);
   switch (cause) {
     case FillCause::kTxns:
       ++counters_.batch_fill_txns;
@@ -175,29 +169,69 @@ void LogWriter::drain_batch(FillCause cause) {
       wm().batch_fill_forced.inc();
       break;
   }
+  // The outbox wait is part of shipping: a transaction's ship stage runs
+  // from here to the covering ack.
   for (obs::StageClock* stages : batch_stages_) {
     mark_stage(stages, obs::Stage::kShip);
   }
   {
-    // Ship from the writer-owned buffer: a synchronous ack may erase
-    // pending_ entries while the shipper is still iterating the span.
-    obs::ScopedSpan span(obs::tracer(), obs::Phase::kLogShip,
-                        pending_.empty() ? 0 : pending_.rbegin()->first);
-    shipper_->ship(batch_records_);
+    std::lock_guard lock(outbox_mu_);
+    outbox_.insert(outbox_.end(), batch_.begin(), batch_.end());
+    outbox_bytes_ += batch_bytes_;
   }
   clear_batch();
 }
 
 void LogWriter::clear_batch() {
-  batch_records_.clear();
+  batch_.clear();
   batch_stages_.clear();
-  batch_txns_ = 0;
   batch_bytes_ = 0;
   batch_deadline_.reset();
   wm().batch_buffered.set(0.0);
 }
 
-void LogWriter::submit_to_disk(std::vector<Record> records,
+std::size_t LogWriter::pump() {
+  std::vector<TxnRecords> frame;
+  std::size_t frames = 0;
+  std::unique_lock lock(outbox_mu_);
+  if (pumping_) return 0;  // the running pump's loop ships our appends
+  pumping_ = true;
+  while (!outbox_.empty()) {
+    frame.swap(outbox_);
+    ++counters_.batches_shipped;
+    counters_.batch_txns_shipped += frame.size();
+    counters_.batch_bytes_shipped += outbox_bytes_;
+    wm().batch_shipped.inc();
+    wm().batch_txns.inc(frame.size());
+    wm().batch_bytes.inc(outbox_bytes_);
+    outbox_bytes_ = 0;
+    lock.unlock();
+    {
+      // No lock held: appends keep landing in the outbox while this frame
+      // is on the wire, and leave together on the next iteration.
+      obs::ScopedSpan span(obs::tracer(), obs::Phase::kLogShip,
+                          frame.back()->back().seq);
+      shipper_->ship(frame);
+    }
+    ++frames;
+    frame.clear();
+    lock.lock();
+  }
+  pumping_ = false;
+  return frames;
+}
+
+std::size_t LogWriter::outbox_txns() const {
+  std::lock_guard lock(outbox_mu_);
+  return outbox_.size();
+}
+
+LogWriter::Counters LogWriter::counters() const {
+  std::lock_guard lock(outbox_mu_);
+  return counters_;
+}
+
+void LogWriter::submit_to_disk(const std::vector<Record>& records,
                                std::function<void()> on_durable,
                                obs::StageClock* stages) {
   // No mirror round-trip: the flush is the ship for attribution purposes.
@@ -241,7 +275,7 @@ void LogWriter::on_mirror_ack(ValidationTs seq) {
 std::vector<Record> LogWriter::tail_since(ValidationTs seq) const {
   std::vector<Record> out;
   for (auto it = tail_.upper_bound(seq); it != tail_.end(); ++it) {
-    out.insert(out.end(), it->second.begin(), it->second.end());
+    out.insert(out.end(), it->second->begin(), it->second->end());
   }
   return out;
 }
@@ -285,40 +319,48 @@ std::size_t LogWriter::resend_pending() {
   if (mode() != LogMode::kMirror || !shipper_ || pending_.empty()) {
     return 0;
   }
-  // Everything still buffered is also in pending_; drop the buffer so the
-  // combined resend below is its only shipment.
+  // Everything buffered or in the outbox is also in pending_: replace both
+  // with the whole pending set so the resend is one combined frame.
   clear_batch();
-  std::vector<Record> combined;
   const TimePoint now = clock_ ? clock_->now() : TimePoint{};
   const std::int64_t now_us = obs::enabled() ? obs::now_us() : 0;
-  for (auto& [seq, p] : pending_) {
-    combined.insert(combined.end(), p.records.begin(), p.records.end());
-    // Restart the ack-timeout window and the obs ship stamp together: a
-    // resend is a fresh shipment, so the ship→ack latency must anchor at
-    // this attempt (0 when obs is off, like submit()).
-    p.shipped_at = now;
-    p.shipped_at_us = now_us;
-    ++counters_.resent;
-    wm().resent.inc();
+  const std::size_t resent = pending_.size();
+  {
+    std::lock_guard lock(outbox_mu_);
+    outbox_.clear();
+    outbox_bytes_ = 0;
+    for (auto& [seq, p] : pending_) {
+      outbox_.push_back(p.records);
+      for (const Record& r : *p.records) outbox_bytes_ += r.encoded_size();
+      // Restart the ack-timeout window and the obs ship stamp together: a
+      // resend is a fresh shipment, so the ship→ack latency must anchor at
+      // this attempt (0 when obs is off, like submit()).
+      p.shipped_at = now;
+      p.shipped_at_us = now_us;
+    }
   }
-  ++counters_.batches_shipped;
-  counters_.batch_txns_shipped += pending_.size();
+  counters_.resent += resent;
+  wm().resent.inc(resent);
   ++counters_.batch_fill_forced;
-  wm().batch_shipped.inc();
-  wm().batch_txns.inc(pending_.size());
   wm().batch_fill_forced.inc();
-  shipper_->ship(combined);
-  RODAIN_INFO("log writer: re-shipped %zu unacked txns after reconnect",
-              pending_.size());
-  return pending_.size();
+  RODAIN_INFO("log writer: re-shipping %zu unacked txns after reconnect",
+              resent);
+  pump();
+  return resent;
 }
 
 void LogWriter::on_mirror_lost() {
   RODAIN_INFO("log writer: mirror lost, rerouting %zu pending txns to disk",
               pending_.size());
-  // Buffered-but-unshipped txns are in pending_ too; the reroute below
-  // covers them, so the batch buffer is just dropped.
+  // Buffered and outbox txns are in pending_ too; the reroute below covers
+  // them, so both are just dropped. A frame a running pump already swapped
+  // out still leaves; its late ack finds nothing pending.
   clear_batch();
+  {
+    std::lock_guard lock(outbox_mu_);
+    outbox_.clear();
+    outbox_bytes_ = 0;
+  }
   set_mode(LogMode::kDirectDisk);
   // Re-log in validation order so the local log stays ordered.
   auto pending = std::move(pending_);
@@ -327,7 +369,7 @@ void LogWriter::on_mirror_lost() {
   for (auto& [seq, p] : pending) {
     ++counters_.rerouted;
     wm().rerouted.inc();
-    submit_to_disk(std::move(p.records), std::move(p.on_durable), p.stages);
+    submit_to_disk(*p.records, std::move(p.on_durable), p.stages);
   }
 }
 

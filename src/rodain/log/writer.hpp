@@ -5,24 +5,42 @@
 // step when the mirror's acknowledgment covering the *commit record*
 // arrives — one message round-trip, no disk write on the commit path.
 //
-// Group commit (DESIGN.md §9): with batching configured, submissions
-// accumulate in a batch buffer and ship as one multi-transaction frame when
-// a txn/byte threshold fills, the flush delay expires, or flush_batch() is
-// called. The durability point is unchanged — a buffered transaction was
-// never acknowledged, so its committer still waits for the (now batched)
-// mirror ack. Acks are cumulative: on_mirror_ack(seq) releases every
-// pending transaction with validation seq <= `seq`.
+// Shipping is split in two (DESIGN.md §9). submit() runs in the writer's
+// serial context (the host's commit mutex): it registers the transaction
+// as pending and appends its shared record set to the outbox, in seq
+// order — no record is copied, encoded or sent there. pump(), called once
+// that context is released, ships: one thread at a time swaps the whole
+// outbox out under a small mutex, hands it to the Shipper as ONE frame,
+// and loops until the outbox is empty; a caller that finds a ship running
+// returns at once and relies on that shipper's loop. Whatever sealed while
+// the previous send was on the wire leaves as one frame, so groups form
+// from load alone (self-clocked group commit) and need no delay knob: at
+// low load every frame carries one transaction and leaves at once. Acks
+// are cumulative: on_mirror_ack(seq) releases every pending transaction
+// with validation seq <= `seq`, so one ack answers a whole group.
+//
+// Optional batching thresholds (BatchOptions) hold submissions in a batch
+// buffer in front of the outbox until a txn/byte threshold fills, the
+// flush delay expires, or flush_batch() is called. The durability point is
+// unchanged — a buffered transaction was never acknowledged, so its
+// committer still waits for the (now batched) mirror ack.
 //
 // Transient mode (kDirectDisk): no mirror exists, so the records go to the
 // local log device and the transaction commits only once the flush is
 // durable.
 //
 // kOff: logging disabled (the paper's "No logs" optimal comparison).
+//
+// Threading: everything except pump(), outbox_txns() and counters() runs
+// in the serial context. pump() may run on any thread, concurrently with
+// the serial context and with other pump() calls; the host must let every
+// pump return before it destroys the writer or the shipper.
 #pragma once
 
 #include <atomic>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
@@ -36,20 +54,22 @@
 namespace rodain::log {
 
 /// Transport hook: ships records toward the mirror. Acks flow back through
-/// LogWriter::on_mirror_ack. Contract: one ship() call may carry many
-/// transactions, but a transaction's record set ([after-images..., commit])
-/// is never split across calls — the mirror's per-batch duplicate detection
-/// (Reorderer::begin_batch) depends on this.
+/// LogWriter::on_mirror_ack. One ship() call is one frame: it carries whole
+/// transactions in seq order, so a transaction's record set is never split
+/// across frames — the mirror's per-batch duplicate detection
+/// (Reorderer::begin_batch) depends on this. Called by one pump at a time,
+/// with no writer lock held.
 class Shipper {
  public:
   virtual ~Shipper() = default;
-  virtual void ship(std::span<const Record> records) = 0;
+  virtual void ship(std::span<const TxnRecords> txns) = 0;
 };
 
 class LogWriter {
  public:
-  /// Group-commit knobs. The default (max_txns 1, no byte/delay trigger)
-  /// ships every submission immediately — the unbatched historical path.
+  /// Batching thresholds in front of the outbox. The default (max_txns 1,
+  /// no byte/delay trigger) moves every submission to the outbox at once;
+  /// groups then form in pump() alone.
   struct BatchOptions {
     /// Flush when the batch holds this many transactions. 1 = unbatched.
     std::size_t max_txns{1};
@@ -74,8 +94,8 @@ class LogWriter {
 
   [[nodiscard]] LogMode mode() const {
     // Relaxed: parallel committers read the mode off-mutex for cost
-    // accounting; every dispatch decision happens under the driver's
-    // commit mutex, where set_mode also runs.
+    // accounting; every dispatch decision happens in the serial context,
+    // where set_mode also runs.
     return mode_.load(std::memory_order_relaxed);
   }
   void set_mode(LogMode mode);
@@ -86,14 +106,26 @@ class LogWriter {
 
   /// Submit one validated transaction's records (after-images then the
   /// commit record, already in that order). `on_durable` fires when the
-  /// commit rule of the current mode is satisfied. `stages`, when non-null,
-  /// is the transaction's lifecycle stage clock: the writer stamps kShip
-  /// when the records leave the batch buffer and kMirrorAck when the
-  /// covering acknowledgment arrives. The pointer must stay valid until
-  /// `on_durable` fires or the writer is destroyed.
+  /// commit rule of the current mode is satisfied. In kMirror mode nothing
+  /// leaves here: the records wait in the outbox (or the batch buffer) for
+  /// the next pump(). `stages`, when non-null, is the transaction's
+  /// lifecycle stage clock: the writer stamps kShip when the records enter
+  /// the outbox and kMirrorAck when the covering acknowledgment arrives.
+  /// The pointer must stay valid until `on_durable` fires or the writer is
+  /// destroyed.
   void submit(ValidationTs seq, std::vector<Record> records,
               std::function<void()> on_durable,
               obs::StageClock* stages = nullptr);
+
+  /// Ship the outbox: leader/follower drain, callable from any thread with
+  /// no host lock held. The leader swaps the whole outbox out, ships it as
+  /// one frame and repeats until the outbox is empty; a caller that finds
+  /// a ship already running returns at once (that leader's loop picks up
+  /// what it appended). Returns the frames this call shipped.
+  std::size_t pump();
+
+  /// Transactions in the outbox, waiting for a pump.
+  [[nodiscard]] std::size_t outbox_txns() const;
 
   /// Clock used for lifecycle stage stamps (independent of the ack-timeout
   /// and batching clocks, which are optional features).
@@ -126,28 +158,29 @@ class LogWriter {
   /// timeout is not armed. Lets the host sleep until it instead of polling.
   [[nodiscard]] std::optional<TimePoint> ack_deadline() const;
 
-  /// Enable group commit. `schedule_flush(d)` asks the host runtime to call
+  /// Enable batching thresholds. `schedule_flush(d)` asks the host runtime to call
   /// flush_batch() after `d`; a stale callback (the batch already drained)
   /// is harmless — flush_batch() re-arms or no-ops as needed. Pass an empty
   /// scheduler only when flush_batch() is driven externally (tests).
   void configure_batching(const Clock* clock, BatchOptions options,
                           std::function<void(Duration)> schedule_flush = {});
 
-  /// Drain the batch buffer as one shipment. Called by the host's flush
-  /// timer and safe to call any time; if the current batch's delay window
-  /// has not expired yet (the timer was armed for an older batch), the
-  /// flush is re-armed instead of shipping early.
+  /// Drain the batch buffer into the outbox and pump it. Called by the
+  /// host's flush timer and safe to call any time; if the current batch's
+  /// delay window has not expired yet (the timer was armed for an older
+  /// batch), the flush is re-armed instead of shipping early.
   void flush_batch();
 
-  /// Transactions accumulated in the batch buffer, not yet shipped.
-  [[nodiscard]] std::size_t batched_txns() const { return batch_txns_; }
+  /// Transactions accumulated in the batch buffer, not yet in the outbox.
+  [[nodiscard]] std::size_t batched_txns() const { return batch_.size(); }
   /// Effective flush delay after adaptive adjustment (== max_delay when
   /// adaptive_delay is off).
   [[nodiscard]] Duration current_flush_delay() const { return batch_delay_; }
 
-  /// Re-ship every unacknowledged transaction as one combined batch in
+  /// Re-ship every unacknowledged transaction as one combined frame in
   /// validation order (after a reconnect — the mirror drops what it already
-  /// applied as stale and re-acks its cumulative floor). Each resent entry's
+  /// applied as stale and re-acks its cumulative floor): the outbox is
+  /// replaced by the whole pending set and pumped. Each resent entry's
   /// ack-timeout clock restarts: a reconnect must get a full timeout window
   /// before escalation, not inherit the dead link's elapsed time. Returns
   /// how many transactions were resent.
@@ -162,7 +195,7 @@ class LogWriter {
   [[nodiscard]] std::vector<Record> tail_since(ValidationTs seq) const;
   static constexpr std::size_t kTailRetention = 4096;
 
-  /// Telemetry: transactions that commuted through each path, plus batch
+  /// Telemetry: transactions that commuted through each path, plus frame
   /// shipping and cumulative-ack accounting.
   struct Counters {
     std::uint64_t via_mirror{0};
@@ -171,13 +204,14 @@ class LogWriter {
     std::uint64_t rerouted{0};
     std::uint64_t resent{0};
     std::uint64_t ack_timeouts{0};
-    /// Frames shipped to the mirror (each one kLogBatch message).
+    /// Frames pump() shipped to the mirror (each one kLogBatch message).
     std::uint64_t batches_shipped{0};
     /// Transactions carried by those frames (mean fill = txns / batches).
     std::uint64_t batch_txns_shipped{0};
     std::uint64_t batch_bytes_shipped{0};
-    /// Why each batch drained: txn threshold, byte threshold, delay timer,
-    /// or forced (explicit flush / unbatched ship-at-submit).
+    /// Why each batch drained into the outbox: txn threshold, byte
+    /// threshold, delay timer, or forced (explicit flush, resend, or the
+    /// unbatched move-at-submit).
     std::uint64_t batch_fill_txns{0};
     std::uint64_t batch_fill_bytes{0};
     std::uint64_t batch_fill_delay{0};
@@ -187,11 +221,14 @@ class LogWriter {
     std::uint64_t acks_received{0};
     std::uint64_t ack_released_txns{0};
   };
-  [[nodiscard]] const Counters& counters() const { return counters_; }
+  /// A snapshot. The frame fields are written by pump() under the outbox
+  /// mutex; the rest belong to the serial context, so call this from it
+  /// (or once the writer is quiescent).
+  [[nodiscard]] Counters counters() const;
 
  private:
   struct Pending {
-    std::vector<Record> records;
+    TxnRecords records;
     std::function<void()> on_durable;
     /// obs time base (now_us) at ship time; the commit ack closes the
     /// mirror_ack span and feeds the replication-RTT timer. 0 when obs off.
@@ -206,11 +243,12 @@ class LogWriter {
 
   enum class FillCause { kTxns, kBytes, kDelay, kForced };
 
-  void submit_to_disk(std::vector<Record> records,
+  void submit_to_disk(const std::vector<Record>& records,
                       std::function<void()> on_durable,
                       obs::StageClock* stages);
   /// Stamp a stage on a transaction's clock using the stage clock.
   void mark_stage(obs::StageClock* stages, obs::Stage s) const;
+  /// Move the batch buffer to the outbox (stamping kShip).
   void drain_batch(FillCause cause);
   void clear_batch();
 
@@ -222,21 +260,30 @@ class LogWriter {
   Duration ack_timeout_{Duration::zero()};
   std::function<void()> on_ack_timeout_;
   std::map<ValidationTs, Pending> pending_;  // unacked, in seq order
-  std::map<ValidationTs, std::vector<Record>> tail_;  // recent submissions
+  std::map<ValidationTs, TxnRecords> tail_;  // recent submissions
 
-  // ---- group-commit batch buffer ----------------------------------------
+  // ---- batch buffer (serial context) -------------------------------------
   BatchOptions batch_opts_{};
   const Clock* batch_clock_{nullptr};
   std::function<void(Duration)> schedule_flush_;
-  std::vector<Record> batch_records_;
+  std::vector<TxnRecords> batch_;
   /// Stage clocks of the buffered transactions (parallel bookkeeping, may
   /// hold nulls); stamped kShip when the batch drains.
   std::vector<obs::StageClock*> batch_stages_;
-  std::size_t batch_txns_{0};
   std::size_t batch_bytes_{0};
   Duration batch_delay_{Duration::zero()};  // adaptive effective delay
   std::optional<TimePoint> batch_deadline_;
 
+  // ---- outbox (outbox_mu_) -----------------------------------------------
+  /// Never held across a ship or a callback: the serial context appends
+  /// under it and pump() swaps the outbox out under it.
+  mutable std::mutex outbox_mu_;
+  std::vector<TxnRecords> outbox_;
+  std::size_t outbox_bytes_{0};
+  /// A pump is shipping; later callers leave the outbox to its loop.
+  bool pumping_{false};
+
+  /// Frame fields under outbox_mu_, the rest in the serial context.
   Counters counters_;
 };
 

@@ -61,20 +61,40 @@ Endpoint::Endpoint(net::Channel& channel, const Clock& clock,
   });
 }
 
-Status Endpoint::send(const Message& m) {
+template <typename WritePayload>
+Status Endpoint::send_framed(WritePayload&& write_payload) {
+  std::lock_guard lock(send_mu_);
   // One encode buffer for the endpoint's lifetime: it grows to the peak
   // frame size once, after which encoding is allocation-free up to the
   // exact-size copy the channel takes ownership of.
   encode_buf_.clear();
-  encode_framed_into(epoch_, next_frame_seq_++, m, encode_buf_);
+  encode_framed_with(epoch_, next_frame_seq_++,
+                     std::forward<WritePayload>(write_payload), encode_buf_);
   const auto view = encode_buf_.view();
   Status s = channel_.send(std::vector<std::byte>(view.begin(), view.end()));
   if (s) {
-    ++stats_.frames_sent;
+    ++frames_sent_;
   } else {
-    ++stats_.send_failures;
+    ++send_failures_;
     epm().send_failures.inc();
   }
+  return s;
+}
+
+Status Endpoint::send(const Message& m) {
+  return send_framed([&m](ByteWriter& w) { encode_into(m, w); });
+}
+
+Status Endpoint::send_log_batch(std::span<const log::TxnRecords> txns) {
+  return send_framed(
+      [txns](ByteWriter& w) { encode_log_batch_into(txns, w); });
+}
+
+Endpoint::Stats Endpoint::stats() const {
+  Stats s = stats_;
+  std::lock_guard lock(send_mu_);
+  s.frames_sent = frames_sent_;
+  s.send_failures = send_failures_;
   return s;
 }
 

@@ -7,9 +7,14 @@
 // window, and a polled reconnect state machine with capped exponential
 // backoff re-establishes the stream (firing on_reconnected so the sender
 // can retry unacknowledged commit records).
+//
+// Sending is thread-safe (the primary's log pump ships while other threads
+// heartbeat or serve joins); everything else runs on the receive thread or
+// under the owner's lock.
 #pragma once
 
 #include <memory>
+#include <mutex>
 
 #include "rodain/common/backoff.hpp"
 #include "rodain/common/clock.hpp"
@@ -59,7 +64,14 @@ class Endpoint {
   Endpoint(net::Channel& channel, const Clock& clock, Handlers handlers,
            Options options);
 
+  /// Safe to call from several threads: frame-seq stamping, the encode
+  /// and the channel send form one critical section, so the wire order is
+  /// the frame_seq order and the receiver's anti-replay window never sees
+  /// a concurrent sender's frames as reordered.
   Status send(const Message& m);
+  /// kLogBatch carrying `txns`' records, encoded straight from the log
+  /// writer's shared record sets (same bytes as send(Message::log_batch)).
+  Status send_log_batch(std::span<const log::TxnRecords> txns);
 
   /// Drive the reconnect state machine; call periodically (heartbeat tick).
   /// Detects channel restoration, paces reconnect attempts with capped
@@ -78,7 +90,8 @@ class Endpoint {
   void touch() { last_heard_ = clock_.now(); }
 
   [[nodiscard]] bool connected() const { return channel_.connected(); }
-  [[nodiscard]] const Stats& stats() const { return stats_; }
+  /// Snapshot; the send-side fields are read under the send lock.
+  [[nodiscard]] Stats stats() const;
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   /// The peer's current send epoch (0 until a frame is accepted). Epochs
   /// are clock-ordered, so comparing ours against the peer's tells which
@@ -86,6 +99,8 @@ class Endpoint {
   [[nodiscard]] std::uint64_t peer_epoch() const { return peer_epoch_; }
 
  private:
+  template <typename WritePayload>
+  Status send_framed(WritePayload&& write_payload);
   void on_frame(std::vector<std::byte> frame);
   /// Anti-replay admission for a received (epoch, frame_seq).
   [[nodiscard]] bool accept_frame(std::uint64_t epoch, std::uint64_t seq);
@@ -100,13 +115,19 @@ class Endpoint {
   /// sentinel and the stale handlers become no-ops.
   std::shared_ptr<bool> alive_{std::make_shared<bool>(true)};
   TimePoint last_heard_;
+  /// Receive-side and reconnect fields (frames_sent and send_failures live
+  /// under send_mu_ below).
   Stats stats_;
 
   // Send side: this endpoint's epoch (monotone across rebuilds), frame
-  // counter, and the reused frame-encode buffer.
-  std::uint64_t epoch_;
+  // counter, and the reused frame-encode buffer — all but the epoch under
+  // send_mu_.
+  const std::uint64_t epoch_;
+  mutable std::mutex send_mu_;
   std::uint64_t next_frame_seq_{1};
   ByteWriter encode_buf_;
+  std::uint64_t frames_sent_{0};
+  std::uint64_t send_failures_{0};
 
   // Receive side: DTLS-style 64-frame sliding window within the peer's
   // current epoch.

@@ -257,6 +257,10 @@ void MirrorService::on_log_batch(std::vector<log::Record> records) {
   // fully-installed prefix (the epoch barrier inside release_epoch).
   reorderer_.flush_epoch();
   if (commits > 0) send_cumulative_ack(commits);
+  // Paper §3: the mirror stores the log "asynchronously, off the commit
+  // path" — the ack is already on the wire. The write still completes
+  // inside this handler, before the next frame or a takeover can run.
+  store_released();
 }
 
 void MirrorService::send_cumulative_ack(std::size_t commits_covered) {
@@ -373,26 +377,33 @@ void MirrorService::release_epoch(std::vector<log::ReleasedTxn> epoch) {
   mm().apply_parallelism.set(pool_.mean_wave_width());
   mm().apply_lag.set(static_cast<double>(reorderer_.staged_commits()));
   if (options_.store_to_disk && disk_) {
-    // Re-serialized in seq order AFTER the barrier: the stored log stays
-    // totally ordered no matter how the waves interleaved, so recovery and
-    // disk-served rejoins read the same stream a serial mirror would have
-    // written.
-    for (const log::ReleasedTxn& t : epoch) {
-      for (const log::Record& r : t.records) disk_->append(r);
-    }
-    // On the commit path: the cumulative ack below goes out only after this
-    // flush returns. The file and segmented stores write synchronously
-    // inside flush() (SegmentedLogStorage::flush writes the pending bytes,
-    // and fsyncs when configured, before completing); only
-    // SimDiskLogStorage completes later, coalescing concurrent requests
-    // into group flushes. The completion can fire after this service is
-    // torn down (takeover), so it only touches the shared health block —
-    // poll()/take_over() fold failures into stats.
-    disk_->flush([health = disk_health_](Status s) {
-      if (!s) health->failures.fetch_add(1, std::memory_order_relaxed);
-    });
-    check_disk_health();
+    // Stored after the ack: store_released() writes it once the handler
+    // that released this epoch has acked.
+    for (log::ReleasedTxn& t : epoch) unstored_.push_back(std::move(t));
   }
+}
+
+void MirrorService::store_released() {
+  if (unstored_.empty()) return;
+  // Re-serialized in seq order AFTER the apply barrier: the stored log
+  // stays totally ordered no matter how the waves interleaved, so recovery
+  // and disk-served rejoins read the same stream a serial mirror would
+  // have written. Off the commit path: the cumulative ack for these
+  // transactions has already been sent. The file and segmented stores
+  // write synchronously inside flush() (SegmentedLogStorage::flush writes
+  // the pending bytes, and fsyncs when configured, before completing);
+  // only SimDiskLogStorage completes later, coalescing concurrent requests
+  // into group flushes. The completion can fire after this service is torn
+  // down (takeover), so it only touches the shared health block —
+  // poll()/take_over() fold failures into stats.
+  for (const log::ReleasedTxn& t : unstored_) {
+    for (const log::Record& r : t.records) disk_->append(r);
+  }
+  unstored_.clear();
+  disk_->flush([health = disk_health_](Status s) {
+    if (!s) health->failures.fetch_add(1, std::memory_order_relaxed);
+  });
+  check_disk_health();
 }
 
 void MirrorService::check_disk_health() {
@@ -526,6 +537,7 @@ void MirrorService::on_snapshot_done(ValidationTs boundary,
   // covers the snapshot boundary and the run staged while it assembled,
   // releasing every transaction the primary kept pending across the join.
   send_cumulative_ack(held);
+  store_released();
   if (options_.on_synced) options_.on_synced();
 }
 
@@ -535,8 +547,9 @@ MirrorService::TakeoverResult MirrorService::take_over() {
   result.applied_staged = reorderer_.force_release_staged();
   result.next_seq = reorderer_.expected_next();
   // The forced releases went into the epoch buffer: apply them (with the
-  // barrier) before the node starts serving from this copy.
+  // barrier) and store them before the node starts serving from this copy.
   reorderer_.flush_epoch();
+  store_released();
   mm().reorder_staged.set(0.0);
   mm().reorder_open.set(0.0);
   if (obs::tracing_enabled()) {

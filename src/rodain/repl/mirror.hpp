@@ -6,8 +6,9 @@
 // carries the reorderer's contiguous received-commit floor and so covers
 // every commit at or below it (DESIGN.md §9). It reorders transactions into
 // true validation order, applies committed transactions to the database
-// copy — never undoing anything — and stores the ordered log to disk
-// asynchronously, off the commit path.
+// copy — never undoing anything — and stores the ordered log to disk off
+// the commit path: the ack leaves first, the disk write follows inside the
+// same handler call.
 //
 // Apply runs epoch-at-a-time (DESIGN.md §14): the reorderer batches each
 // contiguous released run into one epoch and ApplyPool applies its
@@ -150,7 +151,7 @@ class MirrorService {
   }
   [[nodiscard]] std::size_t reorder_staged() const { return reorderer_.staged_commits(); }
   [[nodiscard]] std::size_t reorder_open() const { return reorderer_.open_txns(); }
-  [[nodiscard]] const Endpoint::Stats& endpoint_stats() const {
+  [[nodiscard]] Endpoint::Stats endpoint_stats() const {
     return endpoint_.stats();
   }
   /// Apply-pool telemetry (epochs, waves, conflict cuts, mean width).
@@ -173,10 +174,13 @@ class MirrorService {
   /// answers (telemetry only). Skipped while the floor is still 0.
   void send_cumulative_ack(std::size_t commits_covered);
   void feed(log::Record r);
-  /// Drain the reorderer's released epoch through the apply pool, then
-  /// re-serialize it to disk. The barrier inside makes applied_seq_ honest:
+  /// Drain the reorderer's released epoch through the apply pool and queue
+  /// it for the stored log. The barrier inside makes applied_seq_ honest:
   /// it only ever names a fully-installed prefix.
   void release_epoch(std::vector<log::ReleasedTxn> epoch);
+  /// Append every released-but-unstored transaction to disk, in seq order,
+  /// and flush. Each handler that releases calls it after its ack.
+  void store_released();
   /// Apply one transaction's records to the copy (store + index). Runs on
   /// apply-pool threads; must only touch this transaction's footprint.
   void apply_txn(const log::ReleasedTxn& txn);
@@ -208,6 +212,9 @@ class MirrorService {
   /// Prefix of disk_health_->failures already folded into stats_.
   std::uint64_t disk_failures_seen_{0};
   bool disk_dense_{true};
+  /// Applied and acked, not yet on disk: filled by release_epoch, emptied
+  /// by store_released() before the releasing handler returns.
+  std::vector<log::ReleasedTxn> unstored_;
   ValidationTs applied_seq_{0};
   /// See serving_last_heard(); starts at construction time so a fresh
   /// mirror grants the primary one full watchdog window to speak.

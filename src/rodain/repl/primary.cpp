@@ -110,21 +110,24 @@ PrimaryReplicator::PrimaryReplicator(net::Channel& channel, const Clock& clock,
       hooks_(std::move(hooks)),
       options_(options) {}
 
+void PrimaryReplicator::count_send_status(const Status& s) {
+  if (s) return;
+  if (send_failures_.fetch_add(1, std::memory_order_relaxed) == 0 ||
+      endpoint_.connected()) {
+    RODAIN_WARN("primary: replication send failed: %s",
+                s.to_string().c_str());
+  }
+}
+
 Status PrimaryReplicator::send_counted(const Message& m) {
   Status s = endpoint_.send(m);
-  if (!s) {
-    if (++send_failures_ == 1 || endpoint_.connected()) {
-      RODAIN_WARN("primary: replication send failed: %s",
-                  s.to_string().c_str());
-    }
-  }
+  count_send_status(s);
   return s;
 }
 
-void PrimaryReplicator::ship(std::span<const log::Record> records) {
+void PrimaryReplicator::ship(std::span<const log::TxnRecords> txns) {
   pm().batches_shipped.inc();
-  (void)send_counted(Message::log_batch(
-      std::vector<log::Record>(records.begin(), records.end())));
+  count_send_status(endpoint_.send_log_batch(txns));
   // A failed ship is not fatal: either the disconnect handler or the
   // writer's ack timeout escalates, or a reconnect re-ships the pending set.
 }

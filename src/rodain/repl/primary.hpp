@@ -8,6 +8,7 @@
 // by the endpoint triggers a re-ship of every unacknowledged transaction.
 #pragma once
 
+#include <atomic>
 #include <optional>
 #include <vector>
 
@@ -70,8 +71,9 @@ class PrimaryReplicator final : public log::Shipper {
   /// Include the secondary index in served snapshots (optional).
   void set_index(const storage::BPlusTree* index) { index_ = index; }
 
-  // log::Shipper
-  void ship(std::span<const log::Record> records) override;
+  // log::Shipper — called by the writer's pump with no node lock held, so
+  // it touches only the (thread-safe) endpoint and send_failures_.
+  void ship(std::span<const log::TxnRecords> txns) override;
 
   /// `height` is this node's commit height (installed low-water mark); a
   /// peer that also believes it is primary uses it to resolve the conflict
@@ -89,11 +91,13 @@ class PrimaryReplicator final : public log::Shipper {
   [[nodiscard]] std::uint64_t snapshots_from_disk() const {
     return snapshots_from_disk_;
   }
-  [[nodiscard]] std::uint64_t send_failures() const { return send_failures_; }
+  [[nodiscard]] std::uint64_t send_failures() const {
+    return send_failures_.load(std::memory_order_relaxed);
+  }
   [[nodiscard]] std::uint64_t snapshot_chunks_resent() const {
     return snapshot_chunks_resent_;
   }
-  [[nodiscard]] const Endpoint::Stats& endpoint_stats() const {
+  [[nodiscard]] Endpoint::Stats endpoint_stats() const {
     return endpoint_.stats();
   }
   /// Endpoint ages for the split-brain tie-break: with equal commit
@@ -111,6 +115,8 @@ class PrimaryReplicator final : public log::Shipper {
   void on_chunk_retry(std::uint64_t snapshot_id,
                       const std::vector<std::uint32_t>& missing);
   Status send_counted(const Message& m);
+  /// Count a failed send (shared by every send path, pump included).
+  void count_send_status(const Status& s);
   Status send_chunk(std::uint32_t index);
 
   /// The last served snapshot, kept until the mirror's applied seq passes
@@ -132,7 +138,7 @@ class PrimaryReplicator final : public log::Shipper {
   ValidationTs mirror_applied_{0};
   std::uint64_t snapshots_served_{0};
   std::uint64_t snapshots_from_disk_{0};
-  std::uint64_t send_failures_{0};
+  std::atomic<std::uint64_t> send_failures_{0};
   std::uint64_t snapshot_chunks_resent_{0};
   std::optional<CachedSnapshot> last_snapshot_;
 };

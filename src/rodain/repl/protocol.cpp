@@ -61,6 +61,17 @@ Message Message::chunk_retry(std::uint64_t snapshot_id,
   return m;
 }
 
+void encode_log_batch_into(std::span<const log::TxnRecords> txns,
+                           ByteWriter& w) {
+  std::size_t records = 0;
+  for (const log::TxnRecords& t : txns) records += t->size();
+  w.put_u8(static_cast<std::uint8_t>(MsgType::kLogBatch));
+  w.put_varint(records);
+  for (const log::TxnRecords& t : txns) {
+    for (const log::Record& r : *t) log::encode_record(r, w);
+  }
+}
+
 void encode_into(const Message& m, ByteWriter& w) {
   w.put_u8(static_cast<std::uint8_t>(m.type));
   switch (m.type) {
@@ -190,12 +201,8 @@ Result<Message> decode(std::span<const std::byte> frame) {
 
 void encode_framed_into(std::uint64_t epoch, std::uint64_t frame_seq,
                         const Message& m, ByteWriter& w) {
-  const std::size_t base = w.size();
-  w.put_u32(0);  // crc placeholder
-  w.put_u64(epoch);
-  w.put_u64(frame_seq);
-  encode_into(m, w);
-  w.patch_u32(base, crc32c(w.view().subspan(base + 4)));
+  encode_framed_with(
+      epoch, frame_seq, [&m](ByteWriter& out) { encode_into(m, out); }, w);
 }
 
 std::vector<std::byte> encode_framed(std::uint64_t epoch,

@@ -78,6 +78,11 @@ struct Message {
 /// Append `m`'s payload encoding to `w` (no framing) — the buffer-reusing
 /// counterpart of encode().
 void encode_into(const Message& m, ByteWriter& w);
+/// Append the kLogBatch payload carrying `txns`' records in order: the
+/// same bytes encode_into writes for a Message::log_batch of their
+/// concatenation, without building that message.
+void encode_log_batch_into(std::span<const log::TxnRecords> txns,
+                           ByteWriter& w);
 [[nodiscard]] Result<Message> decode(std::span<const std::byte> frame);
 
 /// A message plus its envelope fields, as received.
@@ -95,6 +100,17 @@ struct Frame {
 /// steady-state ship path stops allocating a fresh buffer per frame.
 void encode_framed_into(std::uint64_t epoch, std::uint64_t frame_seq,
                         const Message& m, ByteWriter& w);
+/// The same envelope around whatever payload `write_payload(w)` appends.
+template <typename WritePayload>
+void encode_framed_with(std::uint64_t epoch, std::uint64_t frame_seq,
+                        WritePayload&& write_payload, ByteWriter& w) {
+  const std::size_t base = w.size();
+  w.put_u32(0);  // crc placeholder
+  w.put_u64(epoch);
+  w.put_u64(frame_seq);
+  write_payload(w);
+  w.patch_u32(base, crc32c(w.view().subspan(base + 4)));
+}
 [[nodiscard]] Result<Frame> decode_framed(std::span<const std::byte> frame);
 
 /// Whether a framed message may make the receiving primary serve a joiner

@@ -83,6 +83,10 @@ void Node::GuardedChannel::set_message_handler(MessageHandler handler) {
           if (node->engine_ && node->engine_->parallel_commit() &&
               repl::frame_serves_join(frame)) {
             node->engine_->seal_epoch();
+            // A rare seal site: ship what it sealed inline, ahead of the
+            // snapshot (the handler holds commit_mu_, so the writer and
+            // replicator cannot be torn down under this pump).
+            node->log_writer_->pump();
             gate = std::unique_lock(node->engine_->install_gate());
           }
           // Commit acks finish parked transactions right here (see
@@ -258,6 +262,11 @@ void Node::escalate_mirror_lost_locked(const char* why) {
 }
 
 void Node::build_primary_locked(LogMode mode) {
+  // Workers pump the log writer with no node lock held, so the writer and
+  // replicator replaced below must have no worker: start_primary runs from
+  // kDown (stop() joined them) and take_over_locked from the mirror role,
+  // which has none. Every other pump runs under commit_mu_.
+  assert(workers_.empty());
   ++channel_epoch_;  // invalidate callbacks into the old role's objects
   link_down_since_.reset();
   mirror_.reset();
@@ -320,7 +329,8 @@ void Node::build_primary_locked(LogMode mode) {
       escalate_mirror_lost_locked("commit ack timeout");
     });
     // The schedule hook runs under commit_mu_ (every submit path holds it);
-    // flush_batch() is then driven by the timer thread, also under it.
+    // flush_batch() — which pumps inline — is then driven by the timer
+    // thread, also under it.
     log_flush_at_.reset();
     log_writer_->configure_batching(
         &clock_, config_.log_batch, [this](Duration d) {
@@ -517,6 +527,7 @@ Status Node::write_checkpoint_fuzzy_locked(ValidationTs boundary) {
     std::unique_lock<std::shared_mutex> gate;
     if (engine_->parallel_commit()) {
       engine_->seal_epoch();
+      log_writer_->pump();  // rare seal site: ship inline, under commit_mu_
       gate = std::unique_lock(engine_->install_gate());
     }
     // A base is forced when there is no chain to extend, when the chain is
@@ -1269,6 +1280,11 @@ void Node::drive(TxnId id, std::unique_lock<std::mutex>& qlock) {
     t->set_lock_free_executing(false);
   }
   if (commit.owns_lock()) commit.unlock();
+  // Ship what this drive sealed — and whatever other committers sealed
+  // meanwhile — with no node lock held (LogWriter::pump). stop() joins the
+  // workers before it destroys the writer, and build_primary_locked never
+  // runs while a worker exists.
+  log_writer_->pump();
   for (auto& [cb, info] : callbacks) cb(info);
   qlock.lock();
 }

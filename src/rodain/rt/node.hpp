@@ -8,10 +8,12 @@
 //
 // Locking (DESIGN.md §11): two node-level mutexes instead of the historical
 // single lock. `commit_mu_` serializes everything that mutates engine or
-// replication state — validation, write phase, log emission, role flips,
-// admission, deadline aborts. `queue_mu_` guards only the EDF ready queue
-// and the per-transaction worker-ownership flags, so workers can pop work
-// and park without convoying on committers. OCC read-phase steps run with
+// replication state — validation, write phase, the epoch seal into the log
+// writer's outbox, role flips, admission, deadline aborts. Encoding and
+// sending the redo stream is not under it: a worker pumps the outbox
+// (LogWriter::pump) after releasing it. `queue_mu_` guards only the EDF
+// ready queue and the per-transaction worker-ownership flags, so workers
+// can pop work and park without convoying on committers. OCC read-phase steps run with
 // NEITHER mutex held (Engine::step_read_unlocked): reads come from
 // per-record seqlock snapshots and the B+-tree's reader lock. Lock order:
 // commit_mu_ -> queue_mu_ -> per-transaction leaf mutexes.
@@ -34,6 +36,14 @@
 //   resume_pending path instead.
 // - Only frames that can serve a join seal the epoch and take the install
 //   gate in the channel handler; acks and heartbeats skip both.
+// - The redo stream ships outside commit_mu_ in self-clocked groups: the
+//   seal appends to the log writer's outbox, and the sealing worker pumps
+//   it once unlocked — one shipper at a time, each frame carrying whatever
+//   sealed while the previous send ran, answered by one cumulative ack.
+//   Rare seal sites (join frames, checkpoint flips, flush timer, reconnect
+//   resend) pump inline under commit_mu_. Workers are the only off-lock
+//   pumpers: stop() joins them before destroying the writer and replicator,
+//   and build_primary_locked runs only while none exists.
 #pragma once
 
 #include <atomic>

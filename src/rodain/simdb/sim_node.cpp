@@ -559,6 +559,9 @@ void SimNode::run_step(TxnId id) {
   a.resume_event = sim::kInvalidEvent;
 
   const engine::StepResult r = engine_->step(*a.txn);
+  // A write phase that sealed records ships them in the same virtual
+  // instant (the runtime pumps once its commit mutex is released).
+  log_writer_->pump();
   const Criticality crit = a.txn->criticality();
   const PriorityKey key = dispatch_key(*a.txn);
   a.job = cpu_.submit(key, r.cost,

@@ -258,7 +258,7 @@ TEST(Engine, CannotAbortAfterValidation) {
   // A writer whose log ack is withheld: park it in kWaitLogAck.
   log::MemoryLogStorage unused;
   struct NullShipper : log::Shipper {
-    void ship(std::span<const log::Record>) override {}
+    void ship(std::span<const log::TxnRecords>) override {}
   } shipper;
   h.writer.set_shipper(&shipper);
   h.writer.set_mode(LogMode::kMirror);  // acks never arrive

@@ -1,7 +1,8 @@
 // The event-driven commit path of rt::Node: heartbeats and samples keep
-// their cadence under load, the watchdog fires at its own deadline, and a
+// their cadence under load, the watchdog fires at its own deadline, a
 // mirror ack finishes a parked transaction on the channel thread while
-// every done callback still fires exactly once.
+// every done callback still fires exactly once, and the redo stream leaves
+// in self-clocked groups shipped outside the commit mutex.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -28,8 +29,8 @@ storage::Value zeros8() {
   return storage::Value{std::string_view{"\0\0\0\0\0\0\0\0", 8}};
 }
 
-/// Channel decorator: counts the heartbeat frames sent through it and can
-/// hold every send back by a fixed delay (a slow mirror link).
+/// Channel decorator: counts the heartbeat and log frames sent through it
+/// and can hold every send back by a fixed delay (a slow link).
 class TapChannel final : public net::Channel {
  public:
   explicit TapChannel(net::Channel& inner) : inner_(inner) {}
@@ -46,6 +47,10 @@ class TapChannel final : public net::Channel {
         decoded.value().msg.type == repl::MsgType::kHeartbeat) {
       heartbeats_.fetch_add(1, std::memory_order_relaxed);
     }
+    if (decoded.is_ok() &&
+        decoded.value().msg.type == repl::MsgType::kLogBatch) {
+      log_frames_.fetch_add(1, std::memory_order_relaxed);
+    }
     const auto delay = std::chrono::microseconds(delay_us_.load());
     if (delay.count() > 0) std::this_thread::sleep_for(delay);
     return inner_.send(std::move(frame));
@@ -54,11 +59,13 @@ class TapChannel final : public net::Channel {
   void close() override { inner_.close(); }
 
   [[nodiscard]] std::uint64_t heartbeats() const { return heartbeats_.load(); }
+  [[nodiscard]] std::uint64_t log_frames() const { return log_frames_.load(); }
   void set_delay(Duration d) { delay_us_.store(d.us); }
 
  private:
   net::Channel& inner_;
   std::atomic<std::uint64_t> heartbeats_{0};
+  std::atomic<std::uint64_t> log_frames_{0};
   std::atomic<std::int64_t> delay_us_{0};
 };
 
@@ -415,6 +422,75 @@ TEST_P(FinishOnAck, TakeoverNeverFinishesATxnTwice) {
   }
   EXPECT_GE(total, static_cast<std::uint64_t>(ledger.committed.load()));
   EXPECT_LE(total, static_cast<std::uint64_t>(kTxns));
+  mirror.stop();
+}
+
+// Four workers commit a closed-loop burst while every log send takes
+// 100 us: whatever seals while a frame is on the wire leaves as the next
+// frame, so there are fewer log frames than commits, and the mirror ends
+// byte-equal to the primary. A stop() with frames in flight then finishes
+// each outstanding txn exactly once.
+TEST(RtCommitPath, FourWorkersShipSelfClockedGroups) {
+  auto tcp = TcpPair::make();
+  TapChannel slow_primary_link(*tcp.client_end);
+  rt::NodeConfig c;
+  c.worker_threads = 4;  // explicit: this test is about concurrent sealers
+  c.overload.max_active = 10000;
+  // The pair must stay paired however oversubscribed the host is: this
+  // test is about grouping, not about the failure detectors.
+  c.ack_timeout = 10_s;
+  c.watchdog_timeout = 10_s;
+  rt::Node primary(c, "primary");
+  rt::Node mirror(c, "mirror");
+  constexpr ObjectId kObjects = 64;
+  for (ObjectId oid = 1; oid <= kObjects; ++oid) {
+    primary.store().upsert(oid, zeros8(), 0);
+    mirror.store().upsert(oid, zeros8(), 0);
+  }
+  mirror.start_mirror(*tcp.server_end);
+  primary.start_primary(LogMode::kMirror, &slow_primary_link);
+  tcp.server_end->start();
+  tcp.client_end->start();
+  slow_primary_link.set_delay(100_us);
+
+  constexpr int kTxns = 2000;
+  Ledger burst(kTxns);
+  run_window(
+      primary, kTxns, 32,
+      [](int i) { return bump(static_cast<ObjectId>(1 + i % kObjects), 5_s); },
+      [&](int i, const rt::CommitInfo& info) { burst.record(5_s, info, i); });
+  EXPECT_EQ(burst.calls_other_than_once(), 0);
+  ASSERT_EQ(burst.committed.load(), kTxns);
+  EXPECT_LT(slow_primary_link.log_frames(), static_cast<std::uint64_t>(kTxns));
+  wait_applied(mirror, kTxns);
+  ASSERT_EQ(mirror.mirror_applied_seq(), static_cast<ValidationTs>(kTxns));
+  for (ObjectId oid = 1; oid <= kObjects; ++oid) {
+    const storage::ObjectRecord* p = primary.store().find(oid);
+    const storage::ObjectRecord* m = mirror.store().find(oid);
+    ASSERT_TRUE(p != nullptr && m != nullptr) << "oid " << oid;
+    EXPECT_EQ(p->value, m->value) << "oid " << oid;
+  }
+  EXPECT_EQ(mirror_total(mirror), static_cast<std::uint64_t>(kTxns));
+
+  constexpr int kInFlight = 400;
+  Ledger tail(kInFlight);
+  std::atomic<int> done{0};
+  for (int i = 0; i < kInFlight; ++i) {
+    primary.submit(bump(static_cast<ObjectId>(1 + i % kObjects), 5_s),
+                   [&, i](const rt::CommitInfo& info) {
+                     tail.record(5_s, info, i);
+                     done.fetch_add(1);
+                   });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  primary.stop();
+  for (int waited = 0; waited < 200 && done.load() < kInFlight; ++waited) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(done.load(), kInFlight);
+  EXPECT_EQ(tail.calls_other_than_once(), 0);
+  EXPECT_EQ(tail.bad.load(), 0);
+  EXPECT_EQ(tail.committed.load() + tail.system_aborted.load(), kInFlight);
   mirror.stop();
 }
 

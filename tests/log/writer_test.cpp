@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <condition_variable>
+#include <map>
+#include <mutex>
+#include <thread>
+
 #include "rodain/obs/obs.hpp"
 
 namespace rodain::log {
@@ -18,8 +24,10 @@ std::vector<Record> txn_records(TxnId txn, ValidationTs seq) {
 
 struct CapturingShipper final : Shipper {
   std::vector<Record> shipped;
-  void ship(std::span<const Record> records) override {
-    shipped.insert(shipped.end(), records.begin(), records.end());
+  void ship(std::span<const TxnRecords> txns) override {
+    for (const TxnRecords& t : txns) {
+      shipped.insert(shipped.end(), t->begin(), t->end());
+    }
   }
 };
 
@@ -46,8 +54,12 @@ TEST(LogWriter, MirrorModeWaitsForAck) {
   LogWriter writer(LogMode::kMirror, nullptr, &shipper);
   bool durable = false;
   writer.submit(5, txn_records(9, 5), [&] { durable = true; });
+  EXPECT_TRUE(shipper.shipped.empty());  // nothing leaves before a pump
+  EXPECT_EQ(writer.outbox_txns(), 1u);
+  EXPECT_EQ(writer.pump(), 1u);
   EXPECT_FALSE(durable);
   EXPECT_EQ(shipper.shipped.size(), 2u);
+  EXPECT_EQ(writer.outbox_txns(), 0u);
   EXPECT_EQ(writer.pending_acks(), 1u);
 
   writer.on_mirror_ack(5);
@@ -94,6 +106,7 @@ TEST(LogWriter, ModeSwitchAffectsNewSubmissions) {
   EXPECT_EQ(disk.records().size(), 2u);
   writer.set_mode(LogMode::kMirror);
   writer.submit(2, txn_records(2, 2), {});
+  writer.pump();
   EXPECT_EQ(shipper.shipped.size(), 2u);
   EXPECT_EQ(disk.records().size(), 2u);  // unchanged
 }
@@ -275,10 +288,12 @@ TEST(LogWriter, SynchronousLoopbackAckFindsPendingEntry) {
   // and the durable callback was lost forever.
   struct LoopbackShipper final : Shipper {
     LogWriter* writer{nullptr};
-    void ship(std::span<const Record> records) override {
+    void ship(std::span<const TxnRecords> txns) override {
       ValidationTs top = 0;
-      for (const Record& r : records) {
-        if (r.is_commit() && r.seq > top) top = r.seq;
+      for (const TxnRecords& t : txns) {
+        for (const Record& r : *t) {
+          if (r.is_commit() && r.seq > top) top = r.seq;
+        }
       }
       if (writer != nullptr && top != 0) writer->on_mirror_ack(top);
     }
@@ -288,6 +303,7 @@ TEST(LogWriter, SynchronousLoopbackAckFindsPendingEntry) {
   shipper.writer = &writer;
   bool durable = false;
   writer.submit(1, txn_records(1, 1), [&] { durable = true; });
+  writer.pump();
   EXPECT_TRUE(durable);
   EXPECT_EQ(writer.pending_acks(), 0u);
 }
@@ -324,6 +340,8 @@ TEST(LogWriter, BatchDrainsAtTxnThreshold) {
   EXPECT_EQ(writer.batched_txns(), 2u);
 
   writer.submit(3, txn_records(3, 3), {});
+  EXPECT_EQ(writer.outbox_txns(), 3u);  // the threshold drained the batch
+  writer.pump();
   EXPECT_EQ(shipper.shipped.size(), 6u);  // three txns, two records each
   EXPECT_EQ(writer.batched_txns(), 0u);
   EXPECT_EQ(writer.counters().batches_shipped, 1u);
@@ -345,6 +363,7 @@ TEST(LogWriter, BatchDrainsAtByteThreshold) {
   writer.submit(1, txn_records(1, 1), {});
   EXPECT_TRUE(shipper.shipped.empty());
   writer.submit(2, txn_records(2, 2), {});
+  writer.pump();
   EXPECT_EQ(shipper.shipped.size(), 4u);
   EXPECT_EQ(writer.counters().batch_fill_bytes, 1u);
   EXPECT_EQ(writer.counters().batch_bytes_shipped, 2 * one_txn_bytes);
@@ -390,6 +409,7 @@ TEST(LogWriter, StaleFlushTimerRearmsForYoungerBatch) {
   writer.submit(1, txn_records(1, 1), {});  // t=0: timer armed for t=5ms
   clock.advance(Duration::millis(1));
   writer.submit(2, txn_records(2, 2), {});  // threshold drains batch 1
+  writer.pump();
   EXPECT_EQ(shipper.shipped.size(), 4u);
   clock.advance(Duration::millis(1));
   writer.submit(3, txn_records(3, 3), {});  // t=2ms: batch 2 deadline t=7ms
@@ -474,6 +494,172 @@ TEST(LogWriter, AdaptiveDelayTracksLoad) {
   }
   EXPECT_EQ(writer.counters().batch_fill_txns, 1u);
   EXPECT_EQ(writer.current_flush_delay().us, 8000);
+}
+
+// ------------------------------------------------ concurrent pump drain --
+
+/// Records each frame's commit seqs; flags a ship that overlaps another.
+struct RecordingShipper final : Shipper {
+  std::mutex mu;
+  std::vector<std::vector<ValidationTs>> frames;
+  std::atomic<int> in_ship{0};
+  std::atomic<bool> overlapped{false};
+  void ship(std::span<const TxnRecords> txns) override {
+    if (in_ship.fetch_add(1) != 0) overlapped = true;
+    std::vector<ValidationTs> seqs;
+    for (const TxnRecords& t : txns) seqs.push_back(t->back().seq);
+    {
+      std::lock_guard lock(mu);
+      frames.push_back(std::move(seqs));
+    }
+    in_ship.fetch_sub(1);
+  }
+};
+
+TEST(LogWriter, ConcurrentPumpsShipEveryTxnOnceInSeqOrder) {
+  // Four committers submit under one serial mutex (the host's commit
+  // mutex) and pump after releasing it, as rt::Node workers do. One ship
+  // runs at a time, commit seqs rise strictly across frames, every txn
+  // ships exactly once, and the last pump leaves the outbox empty.
+  RecordingShipper shipper;
+  LogWriter writer(LogMode::kMirror, nullptr, &shipper);
+  std::mutex serial;
+  ValidationTs next_seq = 1;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 2000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kPerThread; ++i) {
+        {
+          std::lock_guard lock(serial);
+          const ValidationTs seq = next_seq++;
+          writer.submit(seq, txn_records(seq, seq), {});
+        }
+        writer.pump();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  constexpr ValidationTs kTotal = ValidationTs{kThreads} * kPerThread;
+  EXPECT_EQ(writer.outbox_txns(), 0u);
+  EXPECT_FALSE(shipper.overlapped.load());
+  std::vector<ValidationTs> shipped;
+  for (const auto& frame : shipper.frames) {
+    ASSERT_FALSE(frame.empty());
+    shipped.insert(shipped.end(), frame.begin(), frame.end());
+  }
+  ASSERT_EQ(shipped.size(), kTotal);
+  for (std::size_t i = 0; i < shipped.size(); ++i) {
+    ASSERT_EQ(shipped[i], i + 1) << "position " << i;
+  }
+  const LogWriter::Counters c = writer.counters();
+  EXPECT_EQ(c.batches_shipped, shipper.frames.size());
+  EXPECT_EQ(c.batch_txns_shipped, kTotal);
+  EXPECT_EQ(writer.pending_acks(), kTotal);
+  writer.on_mirror_ack(kTotal);
+  EXPECT_EQ(writer.pending_acks(), 0u);
+}
+
+/// Parks the first ship() until release() — a frame held on the wire —
+/// and records every frame's commit seqs.
+struct GateShipper final : Shipper {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered{false};
+  bool released{false};
+  std::vector<std::vector<ValidationTs>> frames;
+  void ship(std::span<const TxnRecords> txns) override {
+    std::unique_lock lock(mu);
+    std::vector<ValidationTs> seqs;
+    for (const TxnRecords& t : txns) seqs.push_back(t->back().seq);
+    frames.push_back(std::move(seqs));
+    entered = true;
+    cv.notify_all();
+    cv.wait(lock, [this] { return released; });
+  }
+  void wait_entered() {
+    std::unique_lock lock(mu);
+    cv.wait(lock, [this] { return entered; });
+  }
+  void release() {
+    {
+      std::lock_guard lock(mu);
+      released = true;
+    }
+    cv.notify_all();
+  }
+};
+
+TEST(LogWriter, FollowerLeavesItsTxnsToTheRunningPump) {
+  // A pump that finds a ship running returns at once; the running pump's
+  // loop ships what was appended meanwhile, as one frame, before it
+  // returns — nothing is stranded in the outbox.
+  GateShipper shipper;
+  LogWriter writer(LogMode::kMirror, nullptr, &shipper);
+  writer.submit(1, txn_records(1, 1), {});
+  std::size_t leader_frames = 0;
+  std::thread leader([&] { leader_frames = writer.pump(); });
+  shipper.wait_entered();
+  writer.submit(2, txn_records(2, 2), {});
+  writer.submit(3, txn_records(3, 3), {});
+  EXPECT_EQ(writer.pump(), 0u);
+  EXPECT_EQ(writer.outbox_txns(), 2u);
+  shipper.release();
+  leader.join();
+  EXPECT_EQ(leader_frames, 2u);
+  EXPECT_EQ(writer.outbox_txns(), 0u);
+  EXPECT_EQ(shipper.frames,
+            (std::vector<std::vector<ValidationTs>>{{1}, {2, 3}}));
+}
+
+TEST(LogWriter, MirrorLostDuringInFlightPumpReroutesEachTxnOnce) {
+  // A frame is on the wire (the shipper parks inside ship()) when the
+  // mirror is declared lost. Every unacked txn — the ones in flight and
+  // the ones still in the outbox — completes through the disk exactly
+  // once, and nothing queued behind the in-flight frame ever ships.
+  GateShipper shipper;
+  MemoryLogStorage disk;
+  LogWriter writer(LogMode::kMirror, &disk, &shipper);
+  std::map<ValidationTs, int> durable;  // touched by the serial thread only
+  auto submit = [&](ValidationTs seq) {
+    writer.submit(seq, txn_records(seq, seq), [&durable, seq] {
+      ++durable[seq];
+    });
+  };
+  submit(1);
+  submit(2);
+  std::thread pumper([&] { writer.pump(); });
+  shipper.wait_entered();
+  // While {1, 2} is on the wire, 3 and 4 seal; a second pump finds the
+  // ship running and leaves them to it.
+  submit(3);
+  submit(4);
+  EXPECT_EQ(writer.pump(), 0u);
+  EXPECT_EQ(writer.outbox_txns(), 2u);
+
+  writer.on_mirror_lost();
+  EXPECT_EQ(writer.mode(), LogMode::kDirectDisk);
+  EXPECT_EQ(writer.outbox_txns(), 0u);
+  EXPECT_EQ(writer.pending_acks(), 0u);
+  EXPECT_EQ(durable, (std::map<ValidationTs, int>{{1, 1}, {2, 1}, {3, 1},
+                                                   {4, 1}}));
+  std::vector<ValidationTs> on_disk;
+  for (const Record& r : disk.records()) {
+    if (r.is_commit()) on_disk.push_back(r.seq);
+  }
+  EXPECT_EQ(on_disk, (std::vector<ValidationTs>{1, 2, 3, 4}));
+
+  shipper.release();
+  pumper.join();
+  // The dead mirror's late ack and a later pump change nothing.
+  writer.on_mirror_ack(4);
+  EXPECT_EQ(writer.pump(), 0u);
+  EXPECT_EQ(shipper.frames, (std::vector<std::vector<ValidationTs>>{{1, 2}}));
+  for (const auto& [seq, n] : durable) EXPECT_EQ(n, 1) << "seq " << seq;
+  EXPECT_EQ(writer.counters().rerouted, 4u);
+  EXPECT_EQ(writer.counters().batches_shipped, 1u);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 // failure detector's boundary behaviour.
 #include <gtest/gtest.h>
 
+#include <mutex>
+#include <thread>
+
 #include "rodain/common/backoff.hpp"
 #include "rodain/repl/endpoint.hpp"
 
@@ -182,6 +185,98 @@ TEST(Endpoint, PollPacesConnectorWithBackoff) {
   // 3 attempts under exponential backoff (initial 5 ms) need > 15 ms of
   // simulated time but far fewer than 2000 polls' worth.
   EXPECT_GT(rig.clock.now().us, 15'000);
+}
+
+/// Thread-safe in-process link: send() hands the frame to the peer's
+/// handler before returning, one frame at a time (the wire), and records
+/// each delivered frame_seq in wire order.
+class LoopbackChannel final : public net::Channel {
+ public:
+  void connect_to(LoopbackChannel& peer) { peer_ = &peer; }
+  void set_message_handler(MessageHandler handler) override {
+    handler_ = std::move(handler);
+  }
+  void set_disconnect_handler(DisconnectHandler) override {}
+  Status send(std::vector<std::byte> frame) override {
+    peer_->deliver(std::move(frame));
+    return Status::ok();
+  }
+  [[nodiscard]] bool connected() const override { return true; }
+  void close() override {}
+
+  std::vector<std::uint64_t> wire_seqs() {
+    std::lock_guard lock(mu_);
+    return wire_seqs_;
+  }
+
+ private:
+  void deliver(std::vector<std::byte> frame) {
+    std::lock_guard lock(mu_);
+    auto f = decode_framed(frame);
+    if (f.is_ok()) wire_seqs_.push_back(f.value().frame_seq);
+    handler_(std::move(frame));
+  }
+
+  LoopbackChannel* peer_{nullptr};
+  std::mutex mu_;
+  MessageHandler handler_;
+  std::vector<std::uint64_t> wire_seqs_;
+};
+
+TEST(Endpoint, ConcurrentSendersKeepWireOrderEqualToFrameSeq) {
+  // The primary's log pump ships while other threads heartbeat or serve
+  // joins. Stamping and sending are one critical section, so the peer sees
+  // frame_seq 1, 2, 3, ... and its anti-replay window rejects nothing.
+  ManualClock clock;
+  LoopbackChannel a, b;
+  a.connect_to(b);
+  b.connect_to(a);
+  Endpoint sender(a, clock, {});
+  std::size_t acks = 0;
+  std::size_t batches = 0;
+  Endpoint::Handlers handlers;
+  handlers.on_commit_ack = [&](ValidationTs) { ++acks; };
+  handlers.on_log_batch = [&](std::vector<log::Record> records) {
+    EXPECT_EQ(records.size(), 2u);
+    ++batches;
+  };
+  Endpoint receiver(b, clock, std::move(handlers));
+
+  constexpr int kThreads = 4;
+  constexpr int kFrames = 2000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&sender, t] {
+      for (int i = 0; i < kFrames; ++i) {
+        const auto seq = static_cast<ValidationTs>(t * kFrames + i + 1);
+        if (t % 2 == 0) {
+          ASSERT_TRUE(sender.send(Message::commit_ack(seq)).is_ok());
+        } else {
+          std::vector<log::Record> records;
+          records.push_back(log::Record::write_image(seq, seq, {}));
+          records.push_back(log::Record::commit(seq, seq, seq, 1));
+          const log::TxnRecords txn =
+              std::make_shared<const std::vector<log::Record>>(
+                  std::move(records));
+          ASSERT_TRUE(sender.send_log_batch({&txn, 1}).is_ok());
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  constexpr std::size_t kTotal = std::size_t{kThreads} * kFrames;
+  const std::vector<std::uint64_t> wire = b.wire_seqs();
+  ASSERT_EQ(wire.size(), kTotal);
+  for (std::size_t i = 0; i < wire.size(); ++i) {
+    ASSERT_EQ(wire[i], i + 1) << "wire position " << i;
+  }
+  EXPECT_EQ(acks + batches, kTotal);
+  EXPECT_EQ(sender.stats().frames_sent, kTotal);
+  const Endpoint::Stats rx = receiver.stats();
+  EXPECT_EQ(rx.frames_received, kTotal);
+  EXPECT_EQ(rx.duplicates_suppressed, 0u);
+  EXPECT_EQ(rx.stale_suppressed, 0u);
 }
 
 // ---------------------------------------------------------------- Backoff --

@@ -53,6 +53,7 @@ struct Rig {
     records.push_back(log::Record::commit(seq, seq, seq * 1000, 1));
     primary_store.upsert(oid, val(value), seq * 1000);
     writer.submit(seq, std::move(records), std::move(on_durable));
+    writer.pump();
   }
 };
 
@@ -120,6 +121,93 @@ TEST(Replication, BatchedCommitsCoalesceToOneCumulativeAck) {
   EXPECT_EQ(rig.mirror->stats().ack_commits_covered, 3u);
   EXPECT_EQ(rig.writer.counters().acks_received, 1u);
   EXPECT_EQ(rig.writer.counters().ack_released_txns, 3u);
+}
+
+/// Mirror-side channel tap: notes how many records the stored log held
+/// when each ack left, and after every delivered frame checks that the
+/// stored log holds a commit record for every seq the mirror has acked.
+class AckOrderTap final : public net::Channel {
+ public:
+  AckOrderTap(net::Channel& inner, const log::MemoryLogStorage& disk)
+      : inner_(inner), disk_(disk) {}
+
+  void set_message_handler(MessageHandler handler) override {
+    inner_.set_message_handler(
+        [this, h = std::move(handler)](std::vector<std::byte> frame) {
+          h(std::move(frame));
+          ValidationTs stored = 0;
+          for (const log::Record& r : disk_.records()) {
+            if (r.is_commit() && r.seq == stored + 1) ++stored;
+          }
+          if (stored < acked_) ++unstored_after_handler_;
+        });
+  }
+  void set_disconnect_handler(DisconnectHandler handler) override {
+    inner_.set_disconnect_handler(std::move(handler));
+  }
+  Status send(std::vector<std::byte> frame) override {
+    auto f = decode_framed(frame);
+    if (f.is_ok() && f.value().msg.type == MsgType::kCommitAck) {
+      acked_ = f.value().msg.seq;
+      disk_records_at_ack_.push_back(disk_.records().size());
+    }
+    return inner_.send(std::move(frame));
+  }
+  [[nodiscard]] bool connected() const override { return inner_.connected(); }
+  void close() override { inner_.close(); }
+
+  std::vector<std::size_t> disk_records_at_ack_;
+  int unstored_after_handler_{0};
+
+ private:
+  net::Channel& inner_;
+  const log::MemoryLogStorage& disk_;
+  ValidationTs acked_{0};
+};
+
+TEST(Replication, MirrorAcksBeforeItsDiskWrite) {
+  // Paper §3: the mirror acks a commit record on arrival and stores the
+  // log off the commit path. The ack leaves before the records reach the
+  // stored log, yet the write completes inside the same handler call:
+  // once a frame's handler returns, everything acked is on disk.
+  sim::Simulation sim;
+  net::SimLink link{sim, {}};
+  storage::ObjectStore pstore{64}, mstore{64};
+  log::MemoryLogStorage pdisk, mdisk;
+  log::LogWriter writer{LogMode::kOff, &pdisk, nullptr};
+  PrimaryReplicator primary(link.end_a(), sim, pstore, writer, {});
+  writer.set_shipper(&primary);
+  AckOrderTap tap(link.end_b(), mdisk);
+  MirrorService::Options options;
+  options.store_to_disk = true;
+  MirrorService mirror(mstore, &mdisk, tap, sim, options);
+  mirror.attach_synced(1);
+  writer.set_mode(LogMode::kMirror);
+
+  int durable = 0;
+  auto submit = [&](ValidationTs seq) {
+    std::vector<log::Record> records;
+    records.push_back(log::Record::write_image(seq, 10 + seq, val("v")));
+    records.push_back(log::Record::commit(seq, seq, seq * 1000, 1));
+    writer.submit(seq, std::move(records), [&] { ++durable; });
+  };
+  for (ValidationTs seq = 1; seq <= 3; ++seq) {  // one txn per frame
+    submit(seq);
+    writer.pump();
+    sim.run();
+  }
+  for (ValidationTs seq = 4; seq <= 6; ++seq) submit(seq);  // one frame
+  writer.pump();
+  sim.run();
+
+  EXPECT_EQ(durable, 6);
+  EXPECT_EQ(mirror.stats().acks_sent, 4u);
+  // Each ack saw the stored log without the records it acknowledged.
+  EXPECT_EQ(tap.disk_records_at_ack_,
+            (std::vector<std::size_t>{0, 2, 4, 6}));
+  EXPECT_EQ(tap.unstored_after_handler_, 0);
+  EXPECT_EQ(mdisk.records().size(), 12u);
+  EXPECT_TRUE(mirror.disk_log_dense());
 }
 
 TEST(Replication, JoinShipsSnapshotAndCatchUp) {
@@ -295,6 +383,7 @@ TEST(Replication, ParallelApplyKeepsAckAndStateSemantics) {
     records.push_back(log::Record::commit(seq, seq, seq * 1000, 1));
     pstore.upsert(oid, val(value), seq * 1000);
     writer2.submit(seq, std::move(records), {});
+    writer2.pump();
   };
 
   for (ValidationTs seq = 1; seq <= 20; ++seq) {
