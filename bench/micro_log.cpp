@@ -59,10 +59,12 @@ void BM_ReordererInOrder(benchmark::State& state) {
       stream.push_back(log::Record::commit(seq, seq, seq * cc::kTsSpacing, 1));
     }
     std::size_t released = 0;
-    log::Reorderer reorderer(
-        [&](ValidationTs, TxnId, std::vector<log::Record>) { ++released; });
+    log::Reorderer reorderer([&](std::vector<log::ReleasedTxn> epoch) {
+      released += epoch.size();
+    });
     state.ResumeTiming();
     for (auto& r : stream) (void)reorderer.add(std::move(r));
+    reorderer.flush_epoch();  // the whole stream is one wire batch
     benchmark::DoNotOptimize(released);
   }
   state.SetItemsProcessed(state.iterations() * 1000);
@@ -86,11 +88,13 @@ void BM_ReordererShuffled(benchmark::State& state) {
       std::swap(batches[i], batches[j]);
     }
     std::size_t released = 0;
-    log::Reorderer reorderer(
-        [&](ValidationTs, TxnId, std::vector<log::Record>) { ++released; });
+    log::Reorderer reorderer([&](std::vector<log::ReleasedTxn> epoch) {
+      released += epoch.size();
+    });
     state.ResumeTiming();
     for (auto& b : batches) {
       for (auto& r : b) (void)reorderer.add(std::move(r));
+      reorderer.flush_epoch();  // one wire batch per transaction
     }
     benchmark::DoNotOptimize(released);
   }

@@ -55,13 +55,16 @@ void reorder_depth_study(const exp::BenchArgs& args, exp::BenchReport& rep) {
     std::size_t max_staged = 0;
     ValidationTs last_released = 0;
     bool in_order = true;
-    log::Reorderer reorderer([&](ValidationTs seq, TxnId, std::vector<log::Record>) {
-      in_order &= (seq == last_released + 1);
-      last_released = seq;
+    log::Reorderer reorderer([&](std::vector<log::ReleasedTxn> epoch) {
+      for (const log::ReleasedTxn& t : epoch) {
+        in_order &= (t.seq == last_released + 1);
+        last_released = t.seq;
+      }
     });
     for (auto& batch : batches) {
       for (auto& record : batch) (void)reorderer.add(std::move(record));
       max_staged = std::max(max_staged, reorderer.staged_commits());
+      reorderer.flush_epoch();  // one wire batch per transaction
     }
     printer.add_row(static_cast<double>(skew),
                     {static_cast<double>(max_staged), in_order ? 1.0 : 0.0});

@@ -10,12 +10,10 @@
 // measures whether extra workers pay; they do not yet: on a 4-core host it
 // measured 0.84-0.98x, short of the 2x target in ROADMAP.md (item 4).
 //
-// A third sweep covers the other end of the wire (DESIGN.md §14): the
-// mirror's epoch-parallel apply at widths 1/2/4 over a write-heavy redo
-// stream. The virtual-time half proves the ack-floor lag stays bounded
-// (apply_lag_max) and the wave accounting is width-independent
-// (apply_parallelism, conflict_cuts); the wall-clock half measures the raw
-// ApplyPool drain rate on real threads.
+// A third point covers the other end of the wire (DESIGN.md §14): the
+// mirror's serial epoch apply over a write-heavy redo stream. The
+// virtual-time half proves the ack-floor lag stays bounded (apply_lag_max);
+// the wall-clock half measures the raw serial apply rate.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -29,7 +27,6 @@
 #include "rodain/exp/report.hpp"
 #include "rodain/net/sim_link.hpp"
 #include "rodain/obs/obs.hpp"
-#include "rodain/repl/apply_pool.hpp"
 #include "rodain/repl/mirror.hpp"
 #include "rodain/repl/primary.hpp"
 #include "rodain/rt/node.hpp"
@@ -169,26 +166,21 @@ void report_point(exp::BenchReport& rep, const Mix& mix, const SweepPoint& p,
   rep.field("speedup_vs_1", speedup);
 }
 
-// ---- Mirror-side parallel apply sweep (DESIGN.md §14) -------------------
+// ---- Mirror-side epoch apply (DESIGN.md §14) -----------------------------
 
 struct MirrorApplyPoint {
-  std::size_t workers{0};
   std::uint64_t txns{0};
   /// Max (highest submitted seq - mirror applied floor) over periodic
   /// virtual-time samples: how far the mirror trailed the primary.
   std::uint64_t apply_lag_max{0};
   std::uint64_t apply_lag_final{0};
-  double apply_parallelism{0};
-  std::uint64_t waves{0};
-  std::uint64_t parallel_txns{0};
-  std::uint64_t conflict_cuts{0};
   std::uint64_t corrupt_txns{0};
-  /// Wall-clock ApplyPool drain rate over the same released stream.
+  /// Wall-clock serial apply rate over the same released stream.
   double apply_txns_per_sec{0};
 };
 
-/// The write-heavy redo stream both halves of the sweep replay: 4 writes
-/// per transaction over a small oid pool (plenty of footprint conflicts).
+/// The write-heavy redo stream both halves of the point replay: 4 writes
+/// per transaction over a small oid pool.
 std::vector<log::ReleasedTxn> make_apply_stream(std::size_t n,
                                                 std::uint64_t seed) {
   const ObjectId pool = std::max<std::size_t>(n / 4, 64);
@@ -210,8 +202,7 @@ std::vector<log::ReleasedTxn> make_apply_stream(std::size_t n,
   return txns;
 }
 
-MirrorApplyPoint run_mirror_apply(std::size_t workers,
-                                  const exp::BenchArgs& args) {
+MirrorApplyPoint run_mirror_apply(const exp::BenchArgs& args) {
   const std::size_t n = std::max<std::size_t>(args.txns, 64);
   const auto stream = make_apply_stream(n, args.seed);
 
@@ -229,7 +220,6 @@ MirrorApplyPoint run_mirror_apply(std::size_t workers,
   writer.set_shipper(&primary);
   repl::MirrorService::Options options;
   options.store_to_disk = true;
-  options.apply_workers = workers;
   repl::MirrorService mirror(mstore, &mdisk, link.end_b(), sim, options);
   mirror.attach_synced(1);
   writer.set_mode(LogMode::kMirror);
@@ -267,36 +257,22 @@ MirrorApplyPoint run_mirror_apply(std::size_t workers,
   sim.run();
 
   MirrorApplyPoint point;
-  point.workers = workers;
   point.txns = mirror.stats().txns_applied;
   point.apply_lag_max = lag_max;
   point.apply_lag_final = last_submitted - mirror.applied_seq();
-  point.apply_parallelism = mirror.apply_parallelism();
-  point.waves = mirror.apply_stats().waves;
-  point.parallel_txns = mirror.apply_stats().parallel_txns;
-  point.conflict_cuts = mirror.apply_stats().conflict_cuts;
   point.corrupt_txns = mirror.stats().corrupt_txns;
 
-  // Wall-clock half: drain the identical stream through a bare pool in
-  // 8-transaction epochs (the batch size above) against a fresh copy.
+  // Wall-clock half: apply the identical stream serially, in seq order,
+  // against a fresh copy.
   storage::ObjectStore wall_store{4096};
-  repl::ApplyPool pool(workers);
-  auto apply = [&wall_store](const log::ReleasedTxn& t) {
+  const auto t0 = std::chrono::steady_clock::now();
+  for (const log::ReleasedTxn& t : stream) {
     const ValidationTs serial_ts = t.records.back().serial_ts;
     for (const log::Record& r : t.records) {
       if (r.type == log::RecordType::kWriteImage) {
         wall_store.upsert(r.oid, r.after, serial_ts);
       }
     }
-  };
-  const auto t0 = std::chrono::steady_clock::now();
-  std::size_t begin = 0;
-  while (begin < stream.size()) {
-    const std::size_t end = std::min(begin + 8, stream.size());
-    std::vector<log::ReleasedTxn> epoch(stream.begin() + begin,
-                                        stream.begin() + end);
-    pool.apply(epoch, apply);
-    begin = end;
   }
   const auto t1 = std::chrono::steady_clock::now();
   const double secs = std::chrono::duration<double>(t1 - t0).count();
@@ -306,19 +282,10 @@ MirrorApplyPoint run_mirror_apply(std::size_t workers,
 }
 
 void report_mirror_apply(exp::BenchReport& rep, const MirrorApplyPoint& p) {
-  char label[48];
-  std::snprintf(label, sizeof(label), "mirror_apply workers=%zu", p.workers);
-  rep.begin_result(label);
-  rep.field("workers", static_cast<std::int64_t>(p.workers));
+  rep.begin_result("mirror_apply");
   rep.field("txns", static_cast<std::int64_t>(p.txns));
   rep.field("apply_lag_max", static_cast<std::int64_t>(p.apply_lag_max));
   rep.field("apply_lag_final", static_cast<std::int64_t>(p.apply_lag_final));
-  rep.field("apply_parallelism", p.apply_parallelism);
-  rep.field("apply_waves", static_cast<std::int64_t>(p.waves));
-  rep.field("apply_parallel_txns",
-            static_cast<std::int64_t>(p.parallel_txns));
-  rep.field("apply_conflict_cuts",
-            static_cast<std::int64_t>(p.conflict_cuts));
   rep.field("corrupt_txns", static_cast<std::int64_t>(p.corrupt_txns));
   rep.field("apply_txns_per_sec", p.apply_txns_per_sec);
 }
@@ -389,24 +356,13 @@ int main(int argc, char** argv) {
   rep.set("wh_speedup_at_8", wh_speedup_at_8);
   rep.set("wh_mu_wait_at_8_ms", wh_mu_wait_at_8);
 
-  std::printf("=== Mirror parallel apply: width sweep over a write-heavy "
-              "redo stream ===\n");
-  std::int64_t mirror_lag_max_at_4 = 0;
-  for (std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    const MirrorApplyPoint p = run_mirror_apply(workers, args);
-    if (workers == 4) {
-      mirror_lag_max_at_4 = static_cast<std::int64_t>(p.apply_lag_max);
-    }
-    std::printf(
-        "  apply_workers=%zu  lag_max=%llu txns  lag_final=%llu  "
-        "wave_width=%.2f  cuts=%llu  pool=%.0f txn/s\n",
-        workers, static_cast<unsigned long long>(p.apply_lag_max),
-        static_cast<unsigned long long>(p.apply_lag_final),
-        p.apply_parallelism, static_cast<unsigned long long>(p.conflict_cuts),
-        p.apply_txns_per_sec);
-    report_mirror_apply(rep, p);
-  }
-  rep.set("mirror_lag_max_at_4", mirror_lag_max_at_4);
+  std::printf("=== Mirror epoch apply over a write-heavy redo stream ===\n");
+  const MirrorApplyPoint apply = run_mirror_apply(args);
+  std::printf("  lag_max=%llu txns  lag_final=%llu  serial apply=%.0f txn/s\n",
+              static_cast<unsigned long long>(apply.apply_lag_max),
+              static_cast<unsigned long long>(apply.apply_lag_final),
+              apply.apply_txns_per_sec);
+  report_mirror_apply(rep, apply);
 
   std::printf("  -> 4-worker speedup over 1 worker (read-heavy): %.2fx "
               "(target >= 2x)\n",

@@ -60,9 +60,8 @@ void Reorderer::set_expected_next(ValidationTs seq) {
   // the primary's disk and never shipped. The snapshot already covers them;
   // keeping them would wedge release_ready() on a seq that never matches.
   staged_.erase(staged_.begin(), staged_.lower_bound(seq));
-  // Epoch-batched callers: anything released before the floor moved is
-  // covered by the snapshot about to install — applying it afterwards
-  // would clobber newer state.
+  // Anything released before the floor moved is covered by the snapshot
+  // about to install — applying it afterwards would clobber newer state.
   epoch_.clear();
   release_ready();
 }
@@ -74,11 +73,7 @@ void Reorderer::dispatch(ValidationTs seq, Staged staged) {
     ++rejected_release_sets_;
     return;
   }
-  if (release_batch_) {
-    epoch_.push_back(ReleasedTxn{seq, staged.txn, std::move(staged.records)});
-    return;
-  }
-  release_(seq, staged.txn, std::move(staged.records));
+  epoch_.push_back(ReleasedTxn{seq, staged.txn, std::move(staged.records)});
 }
 
 void Reorderer::release_ready() {
@@ -94,7 +89,7 @@ void Reorderer::release_ready() {
 }
 
 std::size_t Reorderer::flush_epoch() {
-  if (!release_batch_ || epoch_.empty()) return 0;
+  if (epoch_.empty()) return 0;
   std::vector<ReleasedTxn> epoch = std::move(epoch_);
   epoch_.clear();
   const std::size_t n = epoch.size();

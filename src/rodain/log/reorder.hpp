@@ -8,15 +8,10 @@
 // committed transactions ("it never needs to undo any changes"), and
 // recovery is a single forward pass.
 //
-// Two release disciplines (DESIGN.md §14):
-//   - per-transaction (legacy): `ReleaseFn` fires synchronously inside
-//     add()/set_expected_next() for every transaction, one at a time;
-//   - epoch-batched: `ReleaseBatchFn` — releasable transactions accumulate
-//     in an epoch buffer (still popped in dense seq order) and the owner
-//     drains them with flush_epoch(), typically once per delivered wire
-//     batch. The whole epoch carries the same ordering proof the one-at-a-
-//     time path did, which is what lets the mirror apply non-conflicting
-//     transactions of one epoch concurrently (repl::ApplyPool).
+// Release is epoch-batched (DESIGN.md §14): releasable transactions
+// accumulate in an epoch buffer, still popped in dense seq order, and the
+// owner drains them with flush_epoch() — the mirror once per delivered wire
+// batch, so the whole run a batch unlocks is applied before its ack leaves.
 #pragma once
 
 #include <cstdint>
@@ -40,16 +35,11 @@ struct ReleasedTxn {
 
 class Reorderer {
  public:
-  /// `release` receives complete transactions in dense seq order:
-  /// the after-images followed by the commit record itself.
-  using ReleaseFn =
-      std::function<void(ValidationTs seq, TxnId txn, std::vector<Record> records)>;
-  /// Epoch-batched alternative: one call per flush_epoch(), carrying every
-  /// transaction released since the previous flush, in seq order.
+  /// One call per flush_epoch(), carrying every transaction released since
+  /// the previous flush, in seq order: each is its after-images followed by
+  /// the commit record itself.
   using ReleaseBatchFn = std::function<void(std::vector<ReleasedTxn> epoch)>;
 
-  explicit Reorderer(ReleaseFn release, ValidationTs expected_next = 1)
-      : release_(std::move(release)), expected_(expected_next) {}
   explicit Reorderer(ReleaseBatchFn release, ValidationTs expected_next = 1)
       : release_batch_(std::move(release)), expected_(expected_next) {}
 
@@ -69,10 +59,9 @@ class Reorderer {
   /// call this get the legacy accumulate-everything behaviour.
   void begin_batch() { ++batch_epoch_; }
 
-  /// Epoch-batched mode only: hand the accumulated epoch (transactions
-  /// released since the last flush, in seq order) to the batch callback.
-  /// Returns how many transactions the epoch carried; no-op (and 0) when
-  /// nothing released or in per-transaction mode.
+  /// Hand the accumulated epoch (transactions released since the last
+  /// flush, in seq order) to the batch callback. Returns how many
+  /// transactions the epoch carried; no-op (and 0) when nothing released.
   std::size_t flush_epoch();
 
   /// Transactions currently buffered in the un-flushed epoch.
@@ -123,8 +112,7 @@ class Reorderer {
 
   /// Release staged transactions even if there is a sequence gap (used by
   /// takeover: everything that can apply, applies). Returns released count.
-  /// In epoch-batched mode the run lands in the epoch buffer — follow with
-  /// flush_epoch().
+  /// The run lands in the epoch buffer — follow with flush_epoch().
   std::size_t force_release_staged();
 
  private:
@@ -140,11 +128,10 @@ class Reorderer {
   };
 
   void release_ready();
-  /// Dispatch one popped transaction: validate, then either call the
-  /// per-txn callback synchronously or append to the epoch buffer.
+  /// Dispatch one popped transaction: validate, then append it to the
+  /// epoch buffer.
   void dispatch(ValidationTs seq, Staged staged);
 
-  ReleaseFn release_;
   ReleaseBatchFn release_batch_;
   ValidationTs expected_;
   bool holding_{false};
@@ -152,7 +139,7 @@ class Reorderer {
   std::uint64_t rejected_release_sets_{0};
   std::unordered_map<TxnId, OpenTxn> open_;
   std::map<ValidationTs, Staged> staged_;
-  /// Epoch-batched mode: released-but-not-yet-flushed transactions.
+  /// Released-but-not-yet-flushed transactions.
   std::vector<ReleasedTxn> epoch_;
 };
 

@@ -33,8 +33,8 @@ enum class Phase : std::uint8_t {
   // Mirror-side spans.
   kReorder,
   kApply,
-  /// Epoch barrier instant: one released run fully installed (the value is
-  /// the epoch's last seq). Emitted from the mirror's parallel apply path.
+  /// Epoch instant: one released run fully installed (the value is the
+  /// epoch's last seq). Emitted from the mirror's epoch apply path.
   kApplyEpoch,
   kSnapshotInstall,
   // Lifecycle instants.

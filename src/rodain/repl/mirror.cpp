@@ -37,19 +37,10 @@ struct MirrorMetrics {
   /// Stored-log flush failures (first one marks the disk log non-dense).
   obs::Counter& disk_write_failures =
       obs::metrics().counter("repl.disk_write_failures");
-  /// Parallel apply (DESIGN.md §14): epochs drained, conflict-free waves
-  /// inside them, transactions that actually overlapped with another apply,
-  /// waves cut by a footprint conflict, and the mean wave width.
+  /// Epoch apply (DESIGN.md §14): released epochs applied.
   obs::Counter& apply_epochs = obs::metrics().counter("repl.apply.epochs");
-  obs::Counter& apply_waves = obs::metrics().counter("repl.apply.waves");
-  obs::Counter& apply_parallel_txns =
-      obs::metrics().counter("repl.apply.parallel_txns");
-  obs::Counter& apply_conflict_cuts =
-      obs::metrics().counter("repl.apply.conflict_cuts");
-  obs::Gauge& apply_parallelism =
-      obs::metrics().gauge("repl.apply.parallelism");
   /// Release backlog visible at the last epoch boundary: staged commits
-  /// still waiting behind a gap when the epoch barrier fired.
+  /// still waiting behind a gap when the epoch was applied.
   obs::Gauge& apply_lag = obs::metrics().gauge("repl.apply.lag");
 };
 MirrorMetrics& mm() {
@@ -94,8 +85,7 @@ MirrorService::MirrorService(storage::ObjectStore& copy, log::LogStorage* disk,
                 }),
       reorderer_([this](std::vector<log::ReleasedTxn> epoch) {
         release_epoch(std::move(epoch));
-      }),
-      pool_(options_.apply_workers) {
+      }) {
   serving_last_heard_ = clock_.now();
   if (options_.write_checkpoint && options_.checkpoint_interval.is_positive()) {
     log::Checkpointer::Options ckpt;
@@ -254,7 +244,7 @@ void MirrorService::on_log_batch(std::vector<log::Record> records) {
   for (log::Record& r : records) feed(std::move(r));
   // The whole contiguous run this batch unlocked applies as ONE epoch
   // before the ack goes out, so the floor in the ack only ever names a
-  // fully-installed prefix (the epoch barrier inside release_epoch).
+  // fully-installed prefix.
   reorderer_.flush_epoch();
   if (commits > 0) send_cumulative_ack(commits);
   // Paper §3: the mirror stores the log "asynchronously, off the commit
@@ -284,8 +274,8 @@ void MirrorService::feed(log::Record r) {
   const std::size_t staged_before = reorderer_.staged_commits();
   // Releases are deferred into the reorderer's epoch buffer (applied when
   // the batch flushes), so "released" is detected by the expected-next
-  // floor moving — not by applied_seq_, which only advances at the epoch
-  // barrier.
+  // floor moving — not by applied_seq_, which only advances once the epoch
+  // is applied.
   const ValidationTs expected_before = reorderer_.expected_next();
   {
     obs::ScopedSpan span(obs::tracer(), obs::Phase::kReorder, r.seq);
@@ -313,10 +303,6 @@ void MirrorService::feed(log::Record r) {
 }
 
 void MirrorService::apply_txn(const log::ReleasedTxn& txn) {
-  // Runs on apply-pool threads: touch only this transaction's footprint
-  // plus internally synchronized structures (store per-record seqlocks,
-  // B+-tree writer lock). No MirrorService members — stats aggregate at
-  // the epoch barrier on the delivering thread.
   obs::ScopedSpan span(obs::tracer(), obs::Phase::kApply, txn.seq);
   // The commit record is last (the reorderer validated that); its
   // serialization timestamp stamps the writes (keeps the copy's OCC
@@ -352,29 +338,23 @@ void MirrorService::release_epoch(std::vector<log::ReleasedTxn> epoch) {
     return true;
   });
   if (epoch.empty()) return;
-  if (obs::tracing_enabled()) {
-    obs::tracer().record_instant(obs::Phase::kApplyEpoch, epoch.back().seq);
-  }
-  const ApplyPool::Stats before = pool_.stats();
-  // Parallel apply with the epoch-boundary barrier: returns only when every
-  // transaction is installed, so the floor below never lies.
-  pool_.apply(epoch, [this](const log::ReleasedTxn& t) { apply_txn(t); });
-  applied_seq_ = epoch.back().seq;
+  // One forward pass in seq order; the floor moves only after the whole
+  // epoch is installed, so it never names an unapplied transaction.
   std::uint64_t writes = 0;
   for (const log::ReleasedTxn& t : epoch) {
+    apply_txn(t);
     writes += t.records.size() - 1;  // all but the commit record
+  }
+  applied_seq_ = epoch.back().seq;
+  if (obs::tracing_enabled()) {
+    obs::tracer().record_instant(obs::Phase::kApplyEpoch, applied_seq_);
   }
   stats_.txns_applied += epoch.size();
   stats_.writes_applied += writes;
   mm().txns_applied.inc(epoch.size());
   mm().writes_applied.inc(writes);
   mm().applied_seq.set(static_cast<double>(applied_seq_));
-  const ApplyPool::Stats& ps = pool_.stats();
-  mm().apply_epochs.inc(ps.epochs - before.epochs);
-  mm().apply_waves.inc(ps.waves - before.waves);
-  mm().apply_parallel_txns.inc(ps.parallel_txns - before.parallel_txns);
-  mm().apply_conflict_cuts.inc(ps.conflict_cuts - before.conflict_cuts);
-  mm().apply_parallelism.set(pool_.mean_wave_width());
+  mm().apply_epochs.inc();
   mm().apply_lag.set(static_cast<double>(reorderer_.staged_commits()));
   if (options_.store_to_disk && disk_) {
     // Stored after the ack: store_released() writes it once the handler
@@ -385,17 +365,16 @@ void MirrorService::release_epoch(std::vector<log::ReleasedTxn> epoch) {
 
 void MirrorService::store_released() {
   if (unstored_.empty()) return;
-  // Re-serialized in seq order AFTER the apply barrier: the stored log
-  // stays totally ordered no matter how the waves interleaved, so recovery
-  // and disk-served rejoins read the same stream a serial mirror would
-  // have written. Off the commit path: the cumulative ack for these
-  // transactions has already been sent. The file and segmented stores
-  // write synchronously inside flush() (SegmentedLogStorage::flush writes
-  // the pending bytes, and fsyncs when configured, before completing);
-  // only SimDiskLogStorage completes later, coalescing concurrent requests
-  // into group flushes. The completion can fire after this service is torn
-  // down (takeover), so it only touches the shared health block —
-  // poll()/take_over() fold failures into stats.
+  // Appended in seq order, so the stored log stays totally ordered and
+  // recovery and disk-served rejoins read one forward stream. Off the
+  // commit path: the cumulative ack for these transactions has already
+  // been sent. The file and segmented stores write synchronously inside
+  // flush() (SegmentedLogStorage::flush writes the pending bytes, and
+  // fsyncs when configured, before completing); only SimDiskLogStorage
+  // completes later, coalescing concurrent requests into group flushes.
+  // The completion can fire after this service is torn down (takeover), so
+  // it only touches the shared health block — poll()/take_over() fold
+  // failures into stats.
   for (const log::ReleasedTxn& t : unstored_) {
     for (const log::Record& r : t.records) disk_->append(r);
   }
@@ -546,8 +525,8 @@ MirrorService::TakeoverResult MirrorService::take_over() {
   result.dropped_open = reorderer_.drop_open_txns();
   result.applied_staged = reorderer_.force_release_staged();
   result.next_seq = reorderer_.expected_next();
-  // The forced releases went into the epoch buffer: apply them (with the
-  // barrier) and store them before the node starts serving from this copy.
+  // The forced releases went into the epoch buffer: apply them and store
+  // them before the node starts serving from this copy.
   reorderer_.flush_epoch();
   store_released();
   mm().reorder_staged.set(0.0);

@@ -11,13 +11,12 @@
 // same handler call.
 //
 // Apply runs epoch-at-a-time (DESIGN.md §14): the reorderer batches each
-// contiguous released run into one epoch and ApplyPool applies its
-// non-conflicting transactions concurrently, barriering at the epoch
-// boundary, so a multi-worker primary cannot outrun its own mirror while
-// the copy stays byte-identical to serial apply. Disk appends are
-// re-serialized in seq order after the barrier, and a failed disk write
-// marks the stored log non-dense — a rejoin must then be served by live
-// encode, never from a log with holes.
+// contiguous released run into one epoch, and the delivering thread applies
+// it in seq order — one forward pass — before the cumulative ack leaves, so
+// the acked floor only ever names a fully-applied prefix. Disk appends
+// follow in the same seq order, and a failed disk write marks the stored
+// log non-dense — a rejoin must then be served by live encode, never from a
+// log with holes.
 //
 // The join path is hardened against a faulty link: snapshot chunks are
 // assembled by index under a per-serve snapshot id (so chunks from an
@@ -35,7 +34,6 @@
 #include "rodain/log/checkpointer.hpp"
 #include "rodain/log/log_storage.hpp"
 #include "rodain/log/reorder.hpp"
-#include "rodain/repl/apply_pool.hpp"
 #include "rodain/repl/endpoint.hpp"
 #include "rodain/storage/checkpoint.hpp"
 #include "rodain/storage/object_store.hpp"
@@ -48,12 +46,6 @@ class MirrorService {
     /// Store the ordered log to `disk` (false reproduces the paper's
     /// Fig. 3 no-disk configurations).
     bool store_to_disk{true};
-    /// Apply width for released epochs: non-conflicting transactions of one
-    /// epoch apply concurrently on `apply_workers` threads (the delivering
-    /// thread included). <= 1 keeps the historical serial apply; the rt
-    /// node passes its worker count so the mirror keeps pace with a
-    /// parallel-commit primary (DESIGN.md §14).
-    std::size_t apply_workers{1};
     /// Invoked when a requested join finishes (snapshot installed and the
     /// stashed live stream replayed) — the node is now a proper Mirror.
     std::function<void()> on_synced;
@@ -154,13 +146,6 @@ class MirrorService {
   [[nodiscard]] Endpoint::Stats endpoint_stats() const {
     return endpoint_.stats();
   }
-  /// Apply-pool telemetry (epochs, waves, conflict cuts, mean width).
-  [[nodiscard]] const ApplyPool::Stats& apply_stats() const {
-    return pool_.stats();
-  }
-  [[nodiscard]] double apply_parallelism() const {
-    return pool_.mean_wave_width();
-  }
   /// False after any stored-log write failure: the on-disk log may have
   /// holes, so it must never vouch for dense coverage when a rejoin is
   /// served from disk (the node that takes over consults this before
@@ -174,15 +159,14 @@ class MirrorService {
   /// answers (telemetry only). Skipped while the floor is still 0.
   void send_cumulative_ack(std::size_t commits_covered);
   void feed(log::Record r);
-  /// Drain the reorderer's released epoch through the apply pool and queue
-  /// it for the stored log. The barrier inside makes applied_seq_ honest:
-  /// it only ever names a fully-installed prefix.
+  /// Apply the reorderer's released epoch in seq order and queue it for the
+  /// stored log. applied_seq_ moves only once the whole epoch is installed,
+  /// so it only ever names a fully-installed prefix.
   void release_epoch(std::vector<log::ReleasedTxn> epoch);
   /// Append every released-but-unstored transaction to disk, in seq order,
   /// and flush. Each handler that releases calls it after its ack.
   void store_released();
-  /// Apply one transaction's records to the copy (store + index). Runs on
-  /// apply-pool threads; must only touch this transaction's footprint.
+  /// Apply one transaction's records to the copy (store + index).
   void apply_txn(const log::ReleasedTxn& txn);
   /// Fold asynchronous disk-flush failures into stats/disk_dense_.
   void check_disk_health();
@@ -207,7 +191,6 @@ class MirrorService {
   const Clock& clock_;
   Endpoint endpoint_;
   log::Reorderer reorderer_;
-  ApplyPool pool_;
   std::shared_ptr<DiskHealth> disk_health_{std::make_shared<DiskHealth>()};
   /// Prefix of disk_health_->failures already folded into stats_.
   std::uint64_t disk_failures_seen_{0};

@@ -697,10 +697,12 @@ std::optional<repl::JoinArtifacts> Node::join_artifacts_locked() {
     if (!all.is_ok()) return std::nullopt;
     ValidationTs released = boundary;
     log::Reorderer collector(
-        [&](ValidationTs seq, TxnId, std::vector<log::Record> records) {
-          released = seq;
-          for (log::Record& r : records) {
-            artifacts.catch_up.push_back(std::move(r));
+        [&](std::vector<log::ReleasedTxn> epoch) {
+          for (log::ReleasedTxn& t : epoch) {
+            released = t.seq;
+            for (log::Record& r : t.records) {
+              artifacts.catch_up.push_back(std::move(r));
+            }
           }
         },
         boundary + 1);
@@ -711,6 +713,7 @@ std::optional<repl::JoinArtifacts> Node::join_artifacts_locked() {
       collector.begin_batch();
       for (log::Record& r : tail) (void)collector.add(std::move(r));
     }
+    collector.flush_epoch();
     if (released != low_water) {
       RODAIN_INFO(
           "%s: disk join artifacts cover to seq %llu < low water %llu; "
@@ -799,9 +802,6 @@ void Node::start_mirror(net::Channel& peer, ValidationTs expected_next) {
   guarded_channel_ = std::make_unique<GuardedChannel>(*this, peer);
   repl::MirrorService::Options options;
   options.store_to_disk = true;
-  // Match the primary's commit width: a parallel-commit primary must not
-  // outrun its own mirror's apply path (DESIGN.md §14).
-  options.apply_workers = config_.worker_threads;
   options.on_synced = [this] { become_locked(NodeRole::kMirror); };
   options.on_abandoned = [this] { become_locked(NodeRole::kRecovering); };
   if (!config_.checkpoint_path.empty() &&
@@ -838,7 +838,6 @@ void Node::start_rejoin(net::Channel& peer) {
   guarded_channel_ = std::make_unique<GuardedChannel>(*this, peer);
   repl::MirrorService::Options options;
   options.store_to_disk = true;
-  options.apply_workers = config_.worker_threads;
   options.on_synced = [this] { become_locked(NodeRole::kMirror); };
   options.on_abandoned = [this] { become_locked(NodeRole::kRecovering); };
   if (!config_.checkpoint_path.empty() &&

@@ -64,11 +64,6 @@ struct SimNodeConfig {
   /// Group-commit batching for the mirror ship path (DESIGN.md §9). The
   /// default (max_txns 1, no delay) ships every submission immediately.
   log::LogWriter::BatchOptions log_batch{};
-  /// Mirror-side apply width (DESIGN.md §14): real worker threads under
-  /// the virtual clock. The epoch barrier completes inside the delivering
-  /// event, so simulation determinism is unaffected; 1 keeps the
-  /// historical serial apply.
-  std::size_t apply_workers{1};
   std::size_t store_capacity_hint{30000};
   /// Periodic modelled checkpoints on the virtual timeline: the write
   /// itself is instantaneous (the simulator has no checkpoint file), but

@@ -12,6 +12,7 @@
 #include <map>
 #include <mutex>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 #include "rodain/net/tcp.hpp"
@@ -192,8 +193,10 @@ TEST(ParallelCommit, MirrorReplayMatchesPrimaryState) {
 // false->true transition mid-burst. Run under TSan, every access is a probe
 // of the recovery_mode_/redo-index publication protocol.
 TEST(ParallelCommit, FirstTouchReadsDuringRecoveryDrainAreRaceFree) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   "rodain_parallel_recovery_hammer";
+  const auto dir =
+      std::filesystem::temp_directory_path() /
+      ("rodain_parallel_recovery_hammer_" + std::to_string(::getpid()) + "_" +
+       ::testing::UnitTest::GetInstance()->current_test_info()->name());
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 

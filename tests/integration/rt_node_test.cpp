@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <mutex>
 #include <thread>
+#include <unistd.h>
 
 #include "rodain/log/recovery.hpp"
 
@@ -79,7 +80,11 @@ TEST(RtNode, CounterIncrementsAreAtomic) {
 
 TEST(RtNode, DirectDiskLoggingSurvivesRestart) {
   const std::string log_path =
-      (std::filesystem::temp_directory_path() / "rodain_rt_restart.log").string();
+      (std::filesystem::temp_directory_path() /
+       ("rodain_rt_restart_" + std::to_string(::getpid()) + "_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".log"))
+          .string();
   std::filesystem::remove(log_path);
   {
     rt::NodeConfig config;
@@ -196,7 +201,10 @@ TEST(RtNode, RejoinIsServedFromDiskArtifacts) {
   const std::uint64_t disk_serves_before =
       obs::metrics().counter("repl.snapshots_from_disk").value();
 
-  const auto dir = std::filesystem::temp_directory_path() / "rodain_rejoin_disk";
+  const auto dir =
+      std::filesystem::temp_directory_path() /
+      ("rodain_rejoin_disk_" + std::to_string(::getpid()) + "_" +
+       ::testing::UnitTest::GetInstance()->current_test_info()->name());
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   auto tcp = TcpPair::make();

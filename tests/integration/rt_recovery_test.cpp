@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <thread>
+#include <unistd.h>
 
 #include "rodain/log/segment.hpp"
 #include "rodain/rt/node.hpp"
@@ -26,10 +27,8 @@ class RtRecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = std::filesystem::temp_directory_path() /
-           ("rodain_rt_rec_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
+           ("rodain_rt_rec_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <unistd.h>
 
 namespace rodain::log {
 namespace {
@@ -29,10 +30,8 @@ class FileLogTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = (std::filesystem::temp_directory_path() /
-             ("rodain_log_" +
-              std::string(::testing::UnitTest::GetInstance()
-                              ->current_test_info()
-                              ->name()) +
+             ("rodain_log_" + std::to_string(::getpid()) + "_" +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name() +
               ".log"))
                 .string();
     std::filesystem::remove(path_);

@@ -9,14 +9,17 @@ namespace {
 
 storage::Value val(std::string_view s) { return storage::Value{s}; }
 
+/// Flattened release order, one wire batch per fed transaction: feed_txn
+/// flushes the epoch after each transaction, and flush() drains what a
+/// direct reorderer call (floor move, forced release) put in the buffer.
 struct Collector {
   std::vector<ValidationTs> released;
   Reorderer reorderer;
 
   explicit Collector(ValidationTs expected = 1)
       : reorderer(
-            [this](ValidationTs seq, TxnId, std::vector<Record>) {
-              released.push_back(seq);
+            [this](std::vector<ReleasedTxn> epoch) {
+              for (const ReleasedTxn& t : epoch) released.push_back(t.seq);
             },
             expected) {}
 
@@ -25,7 +28,9 @@ struct Collector {
       ASSERT_TRUE(reorderer.add(Record::write_image(txn, 100 + w, val("v"))));
     }
     ASSERT_TRUE(reorderer.add(Record::commit(txn, seq, seq * 1000, writes)));
+    flush();
   }
+  void flush() { reorderer.flush_epoch(); }
 };
 
 TEST(Reorderer, InOrderStreamsReleaseImmediately) {
@@ -56,6 +61,7 @@ TEST(Reorderer, InterleavedWritesFromConcurrentTxns) {
   ASSERT_TRUE(c.reorderer.add(Record::commit(22, 2, 2000, 1)));
   EXPECT_EQ(c.reorderer.open_txns(), 1u);
   ASSERT_TRUE(c.reorderer.add(Record::commit(21, 1, 1000, 2)));
+  c.flush();
   EXPECT_EQ(c.released, (std::vector<ValidationTs>{1, 2}));
 }
 
@@ -117,6 +123,7 @@ TEST(Reorderer, SetExpectedNextReleasesStagedAtFloor) {
   c.feed_txn(132, 32);
   EXPECT_TRUE(c.released.empty());
   c.reorderer.set_expected_next(31);
+  c.flush();
   EXPECT_EQ(c.released, (std::vector<ValidationTs>{31, 32}));
   EXPECT_EQ(c.reorderer.expected_next(), 33u);
 }
@@ -135,18 +142,21 @@ TEST(Reorderer, ForceReleaseStagedAppliesAcrossGaps) {
   c.feed_txn(14, 4);
   EXPECT_TRUE(c.released.empty());
   EXPECT_EQ(c.reorderer.force_release_staged(), 2u);
+  c.flush();
   EXPECT_EQ(c.released, (std::vector<ValidationTs>{2, 4}));
   EXPECT_EQ(c.reorderer.expected_next(), 5u);
 }
 
 TEST(Reorderer, RecordsWithinTxnKeepOrder) {
   std::vector<Record> out;
-  Reorderer reorderer([&](ValidationTs, TxnId, std::vector<Record> records) {
-    out = std::move(records);
+  Reorderer reorderer([&](std::vector<ReleasedTxn> epoch) {
+    ASSERT_EQ(epoch.size(), 1u);
+    out = std::move(epoch[0].records);
   });
   ASSERT_TRUE(reorderer.add(Record::write_image(1, 10, val("first"))));
   ASSERT_TRUE(reorderer.add(Record::write_image(1, 20, val("second"))));
   ASSERT_TRUE(reorderer.add(Record::commit(1, 1, 1000, 2)));
+  EXPECT_EQ(reorderer.flush_epoch(), 1u);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].oid, 10u);
   EXPECT_EQ(out[1].oid, 20u);
@@ -189,6 +199,7 @@ TEST(Reorderer, BatchEpochDedupsRedeliveredWrites) {
   c.reorderer.begin_batch();
   ASSERT_TRUE(c.reorderer.add(Record::write_image(7, 100, val("v"))));
   ASSERT_TRUE(c.reorderer.add(Record::commit(7, 1, 1000, 1)));
+  c.flush();
   EXPECT_EQ(c.released, (std::vector<ValidationTs>{1}));
   EXPECT_EQ(c.reorderer.open_txns(), 0u);
 }
@@ -200,10 +211,11 @@ TEST(Reorderer, BatchEpochKeepsWritesWithinOneBatch) {
   ASSERT_TRUE(c.reorderer.add(Record::write_image(7, 100, val("a"))));
   ASSERT_TRUE(c.reorderer.add(Record::write_image(7, 101, val("b"))));
   ASSERT_TRUE(c.reorderer.add(Record::commit(7, 1, 1000, 2)));
+  c.flush();
   EXPECT_EQ(c.released, (std::vector<ValidationTs>{1}));
 }
 
-// ---- Epoch-batched release mode (DESIGN.md §14) ------------------------
+// ---- Epoch boundaries (DESIGN.md §14) ------------------------------------
 
 struct BatchCollector {
   /// One entry per flush_epoch() that carried transactions.
@@ -355,9 +367,10 @@ TEST(ReordererEpochs, ValidReleaseSetRejectsEmptyAndCommitless) {
 }
 
 TEST(ReordererEpochs, PropertyPermutationsMatchPerTxnMode) {
-  // The epoch-batched discipline must release exactly the per-transaction
-  // order, only chunked: concatenating the epochs of any permuted stream
-  // reproduces the dense seq order, with each flush cutting at a gap.
+  // Where the epochs cut must not change what is released: feeding the same
+  // permuted stream with a flush after every transaction and with flushes
+  // at random chunk boundaries yields the same dense seq order and the same
+  // record sets, only chunked differently.
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     Rng rng(seed);
     const std::size_t n = 120;
@@ -365,20 +378,48 @@ TEST(ReordererEpochs, PropertyPermutationsMatchPerTxnMode) {
     for (std::size_t i = 0; i < n; ++i) order[i] = i + 1;
     shuffle(order, rng);
 
-    BatchCollector c;
+    std::vector<ReleasedTxn> per_txn;
+    std::vector<ReleasedTxn> chunked;
+    std::size_t chunked_epochs = 0;
+    Reorderer a([&](std::vector<ReleasedTxn> epoch) {
+      for (ReleasedTxn& t : epoch) per_txn.push_back(std::move(t));
+    });
+    Reorderer b([&](std::vector<ReleasedTxn> epoch) {
+      ++chunked_epochs;
+      for (ReleasedTxn& t : epoch) chunked.push_back(std::move(t));
+    });
     for (ValidationTs seq : order) {
-      c.feed_txn(seq + 1000, seq, 1 + seq % 3);
-      if (::testing::Test::HasFatalFailure()) return;
-      c.reorderer.flush_epoch();  // one "wire batch" per transaction
+      const std::uint32_t writes = 1 + seq % 3;
+      const TxnId txn = seq + 1000;
+      const std::string value = "v" + std::to_string(seq);
+      for (Reorderer* r : {&a, &b}) {
+        for (std::uint32_t w = 0; w < writes; ++w) {
+          ASSERT_TRUE(r->add(Record::write_image(txn, 100 + w, val(value))));
+        }
+        ASSERT_TRUE(r->add(Record::commit(txn, seq, seq * 1000, writes)));
+      }
+      // `a` flushes once per transaction, `b` at random chunk boundaries.
+      a.flush_epoch();
+      if (rng.next_below(4) == 0) b.flush_epoch();
     }
-    std::vector<ValidationTs> flat;
-    for (const auto& epoch : c.epochs) {
-      flat.insert(flat.end(), epoch.begin(), epoch.end());
+    b.flush_epoch();
+    ASSERT_EQ(per_txn.size(), n) << seed;
+    ASSERT_EQ(chunked.size(), n) << seed;
+    EXPECT_LT(chunked_epochs, n) << seed;  // the chunks really batched
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(per_txn[i].seq, i + 1) << seed;
+      ASSERT_EQ(chunked[i].seq, per_txn[i].seq) << seed;
+      ASSERT_EQ(chunked[i].txn, per_txn[i].txn) << seed;
+      ASSERT_EQ(chunked[i].records.size(), per_txn[i].records.size()) << seed;
+      for (std::size_t k = 0; k < per_txn[i].records.size(); ++k) {
+        ASSERT_TRUE(chunked[i].records[k] == per_txn[i].records[k])
+            << seed << " txn " << i << " record " << k;
+      }
     }
-    ASSERT_EQ(flat.size(), n) << seed;
-    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(flat[i], i + 1) << seed;
-    EXPECT_EQ(c.reorderer.staged_commits(), 0u);
-    EXPECT_EQ(c.reorderer.epoch_pending(), 0u);
+    for (const Reorderer* r : {&a, &b}) {
+      EXPECT_EQ(r->staged_commits(), 0u);
+      EXPECT_EQ(r->epoch_pending(), 0u);
+    }
   }
 }
 

@@ -3,8 +3,6 @@
 // reorder+apply, snapshot install, takeover).
 #include <gtest/gtest.h>
 
-#include <map>
-
 #include "rodain/net/sim_link.hpp"
 #include "rodain/repl/mirror.hpp"
 #include "rodain/repl/primary.hpp"
@@ -351,80 +349,6 @@ TEST(Replication, DiskFlushFailureMarksLogNonDense) {
   rig.sim.run();
   EXPECT_FALSE(rig.mirror->disk_log_dense());
   EXPECT_EQ(rig.mirror->stats().disk_write_failures, 1u);
-}
-
-TEST(Replication, ParallelApplyKeepsAckAndStateSemantics) {
-  // The width-4 mirror behaves exactly like the serial one on the wire:
-  // same cumulative acks, same applied floor, same store bytes.
-  Rig serial_rig;
-  serial_rig.mirror->attach_synced(1);
-  serial_rig.writer.set_mode(LogMode::kMirror);
-
-  sim::Simulation sim2;
-  net::SimLink link2{sim2, {}};
-  storage::ObjectStore pstore{64}, mstore{64};
-  log::MemoryLogStorage pdisk, mdisk;
-  log::LogWriter writer2{LogMode::kOff, &pdisk, nullptr};
-  PrimaryReplicator::Hooks hooks;
-  auto primary2 = std::make_unique<PrimaryReplicator>(link2.end_a(), sim2,
-                                                      pstore, writer2, hooks);
-  writer2.set_shipper(primary2.get());
-  MirrorService::Options options;
-  options.store_to_disk = true;
-  options.apply_workers = 4;
-  auto mirror2 = std::make_unique<MirrorService>(mstore, &mdisk, link2.end_b(),
-                                                 sim2, options);
-  mirror2->attach_synced(1);
-  writer2.set_mode(LogMode::kMirror);
-
-  auto submit2 = [&](ValidationTs seq, ObjectId oid, std::string_view value) {
-    std::vector<log::Record> records;
-    records.push_back(log::Record::write_image(seq, oid, val(value)));
-    records.push_back(log::Record::commit(seq, seq, seq * 1000, 1));
-    pstore.upsert(oid, val(value), seq * 1000);
-    writer2.submit(seq, std::move(records), {});
-    writer2.pump();
-  };
-
-  for (ValidationTs seq = 1; seq <= 20; ++seq) {
-    // Half the stream collides on oid 7 (conflict cuts), half spreads out.
-    const ObjectId oid = seq % 2 == 0 ? 7 : 100 + seq;
-    serial_rig.submit_txn(seq, oid, "v" + std::to_string(seq));
-    submit2(seq, oid, "v" + std::to_string(seq));
-  }
-  serial_rig.sim.run();
-  sim2.run();
-
-  EXPECT_EQ(mirror2->applied_seq(), serial_rig.mirror->applied_seq());
-  EXPECT_EQ(mirror2->stats().acks_sent, serial_rig.mirror->stats().acks_sent);
-  EXPECT_EQ(mirror2->stats().txns_applied,
-            serial_rig.mirror->stats().txns_applied);
-  // Wave accounting is width-independent (the partition is computed either
-  // way); only execution concurrency differs.
-  EXPECT_EQ(mirror2->apply_stats().waves,
-            serial_rig.mirror->apply_stats().waves);
-  EXPECT_EQ(mirror2->apply_stats().conflict_cuts,
-            serial_rig.mirror->apply_stats().conflict_cuts);
-  // Byte-identical copies, including the ordered log the disk stores.
-  ASSERT_EQ(mdisk.records().size(), serial_rig.mirror_disk.records().size());
-  for (std::size_t i = 0; i < mdisk.records().size(); ++i) {
-    EXPECT_TRUE(mdisk.records()[i] == serial_rig.mirror_disk.records()[i])
-        << "disk record " << i;
-  }
-  std::map<ObjectId, std::pair<storage::Value, ValidationTs>> a, b;
-  serial_rig.mirror_store.for_each(
-      [&](ObjectId oid, const storage::ObjectRecord& r) {
-        a[oid] = {r.value, r.wts};
-      });
-  mstore.for_each([&](ObjectId oid, const storage::ObjectRecord& r) {
-    b[oid] = {r.value, r.wts};
-  });
-  ASSERT_EQ(a.size(), b.size());
-  for (const auto& [oid, state] : a) {
-    ASSERT_EQ(b.count(oid), 1u) << oid;
-    EXPECT_TRUE(b[oid].first == state.first) << oid;
-    EXPECT_EQ(b[oid].second, state.second) << oid;
-  }
 }
 
 TEST(Replication, SeveredLinkDropsFramesAndWriterReroutes) {

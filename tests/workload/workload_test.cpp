@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <set>
+#include <unistd.h>
 
 #include "rodain/exp/session.hpp"
 #include "rodain/workload/calibration.hpp"
@@ -142,7 +143,9 @@ TEST(Trace, GenerationIsDeterministicInSeed) {
 
 TEST(Trace, FileRoundTrip) {
   const std::string path =
-      (std::filesystem::temp_directory_path() / "rodain_trace_test.bin").string();
+      (std::filesystem::temp_directory_path() /
+       ("rodain_trace_test_" + std::to_string(::getpid()) + ".bin"))
+          .string();
   DatabaseConfig db;
   db.num_objects = 200;
   Trace original = Trace::generate(db, PaperSetup::workload(0.7), 150.0, 300, 3);
@@ -163,7 +166,9 @@ TEST(Trace, FileRoundTrip) {
 
 TEST(Trace, CorruptFileRejected) {
   const std::string path =
-      (std::filesystem::temp_directory_path() / "rodain_trace_bad.bin").string();
+      (std::filesystem::temp_directory_path() /
+       ("rodain_trace_bad_" + std::to_string(::getpid()) + ".bin"))
+          .string();
   DatabaseConfig db;
   db.num_objects = 100;
   Trace t = Trace::generate(db, PaperSetup::workload(0.5), 100.0, 50, 1);
