@@ -4,7 +4,7 @@
 // fences and commit-mutex wait per point. The primary runs alone with
 // LogMode::kOff, so no replication cost is in these figures. Two mixes per
 // sweep: the paper's read-heavy service-provision mix (lock-free read
-// phase) and a write-heavy mix that exercises the parallel commit path
+// phase) and a write-heavy mix that exercises concurrent committers
 // (per-worker redo buffers and the epoch sealer). `speedup_at_4` is the
 // read-heavy mix's committed throughput at 4 workers over 1 worker. It
 // measures whether extra workers pay; they do not yet: on a 4-core host it
@@ -57,9 +57,9 @@ struct SweepPoint {
   std::uint64_t intent_conflicts{0};
 };
 
-double timer_total_ms(const LatencyHistogram& h) {
-  return h.mean().to_ms() * static_cast<double>(h.count());
-}
+/// Exact total of a timer's samples; differenced before/after a point, it
+/// can never go negative (mean() * count truncates the mean to whole us).
+double timer_total_ms(const LatencyHistogram& h) { return h.sum_us() / 1e3; }
 
 SweepPoint run_point(std::size_t workers, const Mix& mix,
                      const exp::BenchArgs& args) {
@@ -307,7 +307,8 @@ int main(int argc, char** argv) {
   rep.set("write_fraction_heavy", 0.6);
   rep.set("hardware_concurrency", static_cast<std::int64_t>(cores));
 
-  std::printf("=== Multicore primary: worker sweep over number translation ===\n");
+  std::printf(
+      "=== Multicore primary: worker sweep over number translation ===\n");
   std::printf(
       "    (CostModel::zero, logging off, %zu txns per point, %zu cores)\n",
       args.txns, cores);
@@ -318,7 +319,7 @@ int main(int argc, char** argv) {
   }
 
   // Legacy read-heavy mix keeps its unprefixed labels; the write-heavy mix
-  // is the parallel-commit-path stressor (DESIGN.md §13).
+  // stresses concurrent committers (DESIGN.md §13).
   const Mix mixes[] = {
       {"", 0.1, 8, 2},
       {"write_heavy", 0.6, 4, 4},

@@ -88,9 +88,11 @@ class ConcurrencyController {
   virtual ValidationResult validate(txn::Transaction& t, ValidationTs next_seq,
                                     const storage::ObjectStore& store) = 0;
 
-  /// Called after the write phase installed the after-images: bump the
-  /// committed read/write timestamps on the touched objects.
-  virtual void on_installed(txn::Transaction& t, storage::ObjectStore& store) = 0;
+  /// Called after the write phase installed the after-images and before
+  /// the redo is sealed, under the engine's validation mutex. The engine
+  /// has already published the committed read/write timestamps (rts at
+  /// validation, wts by the installs); 2PL releases its locks here.
+  virtual void on_installed(txn::Transaction& t) { (void)t; }
 
   /// Abort/restart cleanup (locks released, active-set entry removed).
   virtual void on_abort(txn::Transaction& t) = 0;
@@ -123,6 +125,7 @@ enum class Protocol : std::uint8_t {
 };
 
 [[nodiscard]] std::string_view to_string(Protocol p);
-[[nodiscard]] std::unique_ptr<ConcurrencyController> make_controller(Protocol p);
+[[nodiscard]] std::unique_ptr<ConcurrencyController> make_controller(
+    Protocol p);
 
 }  // namespace rodain::cc

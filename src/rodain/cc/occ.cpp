@@ -130,7 +130,7 @@ ValidationResult OccController::validate(txn::Transaction& t,
   // --- Step 2: forward adjustment of every conflicting active transaction.
   // A read-only validator adjusts nobody: it wrote nothing (no reader of
   // its writes, no write-write edge), and writers into its read set
-  // serialize after it via the object rts floors on_installed maintains.
+  // serialize after it via the object rts floors the engine publishes.
   // Skipping the scan keeps read-heavy multicore validation O(read set).
   if (!t.write_set().empty()) {
     for (auto& [id, other] : active_) {
@@ -182,23 +182,6 @@ ValidationResult OccController::validate(txn::Transaction& t,
   result.serial_ts = ts;
   active_.erase(t.id());  // validated transactions are immune to adjustment
   return result;
-}
-
-void OccController::on_installed(txn::Transaction& t,
-                                 storage::ObjectStore& store) {
-  const ValidationTs ts = t.serial_ts();
-  // Atomic bumps: optimistic readers snapshot rts/wts outside the commit
-  // mutex, so these stores may race their relaxed loads.
-  for (const txn::ReadEntry& r : t.read_set()) {
-    if (storage::ObjectRecord* rec = store.find_mutable(r.oid)) {
-      rec->bump_rts(ts);
-    }
-  }
-  for (const txn::WriteEntry& w : t.write_set()) {
-    if (storage::ObjectRecord* rec = store.find_mutable(w.oid)) {
-      rec->bump_wts(ts);
-    }
-  }
 }
 
 void OccController::on_abort(txn::Transaction& t) {

@@ -37,9 +37,10 @@ class OccController final : public ConcurrencyController {
                         const storage::ObjectRecord* rec) override;
   ValidationResult validate(txn::Transaction& t, ValidationTs next_seq,
                             const storage::ObjectStore& store) override;
-  void on_installed(txn::Transaction& t, storage::ObjectStore& store) override;
   void on_abort(txn::Transaction& t) override;
-  [[nodiscard]] std::size_t active_count() const override { return active_.size(); }
+  [[nodiscard]] std::size_t active_count() const override {
+    return active_.size();
+  }
   /// OCC read phases touch only committed state + private copies (paper §3),
   /// so they may run outside the commit mutex.
   [[nodiscard]] bool lock_free_read_phase() const override { return true; }

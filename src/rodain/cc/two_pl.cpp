@@ -20,7 +20,8 @@ AccessResult TwoPlController::on_read(txn::Transaction& t, ObjectId oid,
 AccessResult TwoPlController::on_write(txn::Transaction& t, ObjectId oid,
                                        const storage::ObjectRecord* rec) {
   (void)rec;
-  auto r = lock_manager_.acquire(oid, t.id(), LockMode::kExclusive, t.priority());
+  auto r =
+      lock_manager_.acquire(oid, t.id(), LockMode::kExclusive, t.priority());
   return AccessResult{r.decision, std::move(r.victims)};
 }
 
@@ -36,21 +37,7 @@ ValidationResult TwoPlController::validate(txn::Transaction& t,
   return result;
 }
 
-void TwoPlController::on_installed(txn::Transaction& t,
-                                   storage::ObjectStore& store) {
-  const ValidationTs ts = t.serial_ts();
-  // Atomic bumps: the db-layer optimistic fast path snapshots rts/wts
-  // without the commit mutex regardless of protocol.
-  for (const txn::ReadEntry& r : t.read_set()) {
-    if (storage::ObjectRecord* rec = store.find_mutable(r.oid)) {
-      rec->bump_rts(ts);
-    }
-  }
-  for (const txn::WriteEntry& w : t.write_set()) {
-    if (storage::ObjectRecord* rec = store.find_mutable(w.oid)) {
-      rec->bump_wts(ts);
-    }
-  }
+void TwoPlController::on_installed(txn::Transaction& t) {
   dispatch(lock_manager_.release_all(t.id()));
 }
 

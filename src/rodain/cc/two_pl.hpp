@@ -22,11 +22,13 @@ class TwoPlController final : public ConcurrencyController {
                         const storage::ObjectRecord* rec) override;
   ValidationResult validate(txn::Transaction& t, ValidationTs next_seq,
                             const storage::ObjectStore& store) override;
-  void on_installed(txn::Transaction& t, storage::ObjectStore& store) override;
+  void on_installed(txn::Transaction& t) override;
   void on_abort(txn::Transaction& t) override;
   void set_wakeup_handler(WakeupFn fn) override { wakeup_ = std::move(fn); }
   void set_victim_handler(VictimFn fn) override { victim_ = std::move(fn); }
-  [[nodiscard]] std::size_t active_count() const override { return active_.size(); }
+  [[nodiscard]] std::size_t active_count() const override {
+    return active_.size();
+  }
 
   [[nodiscard]] const LockManager& locks() const { return lock_manager_; }
 

@@ -22,7 +22,9 @@ class OnlineStats {
   [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const { return n_ ? min_ : 0.0; }
   [[nodiscard]] double max() const { return n_ ? max_ : 0.0; }
-  [[nodiscard]] double sum() const { return mean_ * static_cast<double>(n_); }
+  [[nodiscard]] double sum() const {
+    return mean_ * static_cast<double>(n_);
+  }
 
  private:
   std::size_t n_{0};
@@ -43,7 +45,10 @@ class LatencyHistogram {
 
   [[nodiscard]] std::size_t count() const { return count_; }
   [[nodiscard]] Duration quantile(double q) const;  ///< q in [0,1]
-  [[nodiscard]] Duration mean() const;
+  [[nodiscard]] Duration mean() const;  ///< truncated to whole us
+  /// Exact sum of every sample in us (exact below 2^53 us, ~285 years):
+  /// totals differenced across an interval use this, not mean() * count.
+  [[nodiscard]] double sum_us() const { return sum_us_; }
   [[nodiscard]] Duration max_value() const { return max_; }
 
   [[nodiscard]] std::string summary() const;  ///< "p50=… p95=… p99=… max=…"
@@ -74,7 +79,8 @@ struct TxnCounters {
   /// transactions that did not commit (any abort reason).
   [[nodiscard]] double miss_ratio() const;
   [[nodiscard]] std::uint64_t missed_total() const {
-    return missed_deadline + overload_rejected + conflict_aborted + system_aborted;
+    return missed_deadline + overload_rejected + conflict_aborted +
+           system_aborted;
   }
 };
 

@@ -21,8 +21,8 @@ struct EngineMetrics {
   obs::Counter& installs = obs::metrics().counter("engine.installs");
   /// Torn seqlock snapshots discarded by optimistic read-phase fetches.
   obs::Counter& read_retries = obs::metrics().counter("engine.read_retries");
-  /// Parallel commit path: optimistic reads refused at validation because a
-  /// foreign committer held a write intent on the object.
+  /// Optimistic reads refused at validation because a foreign committer
+  /// held a write intent on the object.
   obs::Counter& intent_conflicts =
       obs::metrics().counter("engine.intent_conflicts");
 };
@@ -48,10 +48,9 @@ Engine::Engine(EngineConfig config, storage::ObjectStore& store,
       log_writer_(log_writer),
       hooks_(std::move(hooks)),
       cc_(cc::make_controller(config.protocol)) {
-  // 2PL opts out: its lock table mutates on every access under the commit
-  // mutex, so there is no lock-free commit to parallelize.
-  parallel_commit_ = config_.parallel_commit && cc_->lock_free_read_phase();
   sealer_.reset(next_seq_.load(std::memory_order_relaxed));
+  // Both handlers fire from cc_->on_abort / on_installed (2PL lock
+  // releases), which the engine calls only with validate_mu_ held.
   cc_->set_wakeup_handler([this](TxnId id) {
     if (txn::Transaction* t = find(id)) {
       if (t->phase() == txn::Phase::kBlocked) {
@@ -60,24 +59,12 @@ Engine::Engine(EngineConfig config, storage::ObjectStore& store,
       }
     }
   });
-  cc_->set_victim_handler([this](TxnId id) {
-    if (txn::Transaction* t = find(id)) {
-      if (!can_abort(*t)) return;  // already validated: grant was moot
-      if (t->lock_free_executing()) {
-        // The owner worker is mid-read outside the commit mutex; restarting
-        // under it would race the owner's set mutations. Defer: the owner
-        // consumes the request at its next step boundary.
-        t->request_restart();
-        return;
-      }
-      restart(*t);
-      if (hooks_.on_victim_restart) hooks_.on_victim_restart(id);
-    }
-  });
+  cc_->set_victim_handler(
+      [this](TxnId id) { restart_victim_locked(id, /*defer=*/false); });
 }
 
 void Engine::begin(txn::Transaction& t) {
-  auto lock = maybe_validate_lock();
+  std::lock_guard lock(validate_mu_);
   txns_[t.id()] = &t;
   cc_->on_begin(t);
 }
@@ -107,7 +94,7 @@ void Engine::mark_stage(txn::Transaction& t, obs::Stage s) const {
 void Engine::abort(txn::Transaction& t, TxnOutcome reason) {
   assert(can_abort(t));
   em().aborts.inc();
-  auto lock = maybe_validate_lock();
+  std::lock_guard lock(validate_mu_);
   cc_->on_abort(t);
   txns_.erase(t.id());
   t.set_phase(txn::Phase::kAborted);
@@ -116,7 +103,7 @@ void Engine::abort(txn::Transaction& t, TxnOutcome reason) {
 }
 
 void Engine::restart(txn::Transaction& t) {
-  auto lock = maybe_validate_lock();
+  std::lock_guard lock(validate_mu_);
   restart_unsynchronized(t);
 }
 
@@ -131,39 +118,33 @@ void Engine::restart_unsynchronized(txn::Transaction& t) {
 }
 
 void Engine::restart_victims(const std::vector<TxnId>& victims) {
-  if (parallel_commit_) {
-    // Always defer on the parallel path: the victim's owner (or the worker
-    // that next picks it off the ready queue) consumes the request at its
-    // next step boundary, and a validation-bound victim fails naturally on
-    // its emptied interval. Restarting here would race the owner.
-    auto lock = maybe_validate_lock();
-    for (TxnId id : victims) {
-      auto it = txns_.find(id);
-      if (it != txns_.end()) it->second->request_restart();
-    }
+  if (victims.empty()) return;
+  std::lock_guard lock(validate_mu_);
+  for (TxnId id : victims) restart_victim_locked(id, /*defer=*/false);
+}
+
+void Engine::restart_victim_locked(TxnId id, bool defer) {
+  txn::Transaction* v = find(id);
+  if (!v) return;
+  if (defer || v->lock_free_executing()) {
+    // The owner worker runs the victim outside the commit mutex (or this
+    // committer does): restarting here would race the owner's set
+    // mutations. It consumes the request at its next step boundary, and a
+    // validation-bound victim fails on its emptied interval or on the
+    // request itself (commit_transaction). Its interval was already
+    // adjusted under its leaf mutex, so the conflict is recorded either way.
+    v->request_restart();
     return;
   }
-  for (TxnId id : victims) {
-    txn::Transaction* v = find(id);
-    if (!v) continue;
-    // A transaction past validation is immune: its sequence number is
-    // assigned and its writes are (being) installed.
-    assert(can_abort(*v) && "victimized a validated transaction");
-    if (v->lock_free_executing()) {
-      // Same deferral as the victim handler: the owner worker is running
-      // the read phase unlocked and self-restarts at its next boundary.
-      // Its interval was already adjusted under its leaf mutex, so the
-      // conflict is recorded either way.
-      v->request_restart();
-      continue;
-    }
-    restart(*v);
-    if (hooks_.on_victim_restart) hooks_.on_victim_restart(id);
-  }
+  // A transaction past validation is immune: its sequence number is
+  // assigned and its writes are (being) installed.
+  if (!can_abort(*v)) return;
+  restart_unsynchronized(*v);
+  if (hooks_.on_victim_restart) hooks_.on_victim_restart(id);
 }
 
 StepResult Engine::restart_or_abort(txn::Transaction& t, Duration cost) {
-  auto lock = maybe_validate_lock();
+  std::lock_guard lock(validate_mu_);
   if (config_.max_restarts >= 0 && t.restarts() >= config_.max_restarts) {
     cc_->on_abort(t);
     txns_.erase(t.id());
@@ -189,24 +170,9 @@ StepResult Engine::step(txn::Transaction& t) {
   switch (t.phase()) {
     case txn::Phase::kReadPhase:
       if (t.program_done()) {
-        if (parallel_commit_) {
-          // Serial entry into the parallel-path locking discipline (the
-          // simulator, or a driver holding its commit mutex during the
-          // recovery window): same intents/validation-mutex protocol as
-          // step_commit_unlocked, plus an inline seal — the caller's
-          // serial context stands in for the commit mutex the seal needs.
-          return commit_transaction(t, /*seal_inline=*/true);
-        }
-        // Validation and the write phase form one atomic step
-        // (Kung-Robinson critical section; the paper's "transactions are
-        // validated atomically"). Splitting them would open a window in
-        // which other transactions validate against half-installed state.
-        t.set_phase(txn::Phase::kValidating);
-        StepResult r = step_validate(t);
-        if (t.phase() != txn::Phase::kWritePhase) return r;
-        StepResult w = step_write_phase(t);
-        w.cost += r.cost;
-        return w;
+        // The caller's serial context (the simulator, or a driver holding
+        // its commit mutex) stands in for the commit mutex the seal needs.
+        return commit_transaction(t, /*serial=*/true);
       }
       return step_read_phase(t, /*optimistic=*/false, /*fallback=*/nullptr);
     case txn::Phase::kWaitLogAck:
@@ -238,45 +204,37 @@ std::optional<StepResult> Engine::step_read_unlocked(txn::Transaction& t) {
 const storage::ObjectRecord* Engine::fetch(ObjectId oid,
                                            storage::ObjectRecord& snap,
                                            bool optimistic, bool* fallback) {
-  if (!optimistic) {
+  log::RedoIndex* rec = recovery_.load(std::memory_order_acquire);
+  if (rec && rec->active()) {
+    if (optimistic) {
+      // Unlocked read phases cannot consult the redo index (its chains
+      // mutate under commit_mu_); fall back to the serial path for the
+      // short recovery window.
+      *fallback = true;
+      return nullptr;
+    }
     // Instant recovery: the serial path (under the node's commit mutex) is
     // where first touch replays an object's deferred redo chain before the
     // transaction observes it.
-    log::RedoIndex* rec = recovery_.load(std::memory_order_acquire);
-    if (rec && rec->active()) {
-      rec->ensure_recovered(oid, store_, index_);
-    }
-    if (!parallel_commit_) return store_.find(oid);
-    // Parallel commit: installs run outside the commit mutex (intents +
-    // seqlock), so even the serial path must not plain-read a record a
-    // committer may be writing in place. Snapshot it; under persistent
-    // contention briefly take the record's intent — the installer holding
-    // it never waits on the commit mutex while it does, so this cannot
-    // cycle.
-    std::uint32_t retries = 0;
-    storage::OptimisticRead r = store_.read_optimistic(oid, snap, retries);
-    if (retries != 0) em().read_retries.inc(retries);
-    if (r == storage::OptimisticRead::kContended) {
-      const auto intent = intents_.acquire_one(oid);
-      retries = 0;
-      r = store_.read_optimistic(oid, snap, retries);
-    }
-    return r == storage::OptimisticRead::kHit ? &snap : nullptr;
+    rec->ensure_recovered(oid, store_, index_);
   }
-  log::RedoIndex* rec = recovery_.load(std::memory_order_acquire);
-  if (rec && rec->active()) {
-    // Unlocked read phases cannot consult the redo index (its chains mutate
-    // under commit_mu_); fall back to the serial path for the short
-    // recovery window.
-    *fallback = true;
-    return nullptr;
-  }
+  // Installs run outside the commit mutex (intents + seqlock), so even the
+  // serial path must not plain-read a record a committer may be writing in
+  // place.
   std::uint32_t retries = 0;
-  const storage::OptimisticRead r = store_.read_optimistic(oid, snap, retries);
+  storage::OptimisticRead r = store_.read_optimistic(oid, snap, retries);
   if (retries != 0) em().read_retries.inc(retries);
   if (r == storage::OptimisticRead::kContended) {
-    *fallback = true;
-    return nullptr;
+    if (optimistic) {
+      *fallback = true;
+      return nullptr;
+    }
+    // Under persistent contention briefly take the record's intent — the
+    // installer holding it never waits on the commit mutex while it does,
+    // so this cannot cycle.
+    const auto intent = intents_.acquire_one(oid);
+    retries = 0;
+    r = store_.read_optimistic(oid, snap, retries);
   }
   return r == storage::OptimisticRead::kHit ? &snap : nullptr;
 }
@@ -513,87 +471,22 @@ StepResult Engine::exec_update(txn::Transaction& t, const txn::UpdateOp& op,
   return {StepAction::kContinue, cost};
 }
 
-StepResult Engine::step_validate(txn::Transaction& t) {
-  obs::ScopedSpan span(obs::tracer(), obs::Phase::kValidate, t.id());
-  mark_stage(t, obs::Stage::kValidate);
-  const Duration cost = config_.costs.validate;
-  em().validations.inc();
-  const ValidationTs seq = next_seq_.load(std::memory_order_relaxed);
-  cc::ValidationResult result = cc_->validate(t, seq, store_);
-  if (!result.ok) {
-    em().validation_rejects.inc();
-    t.set_phase(txn::Phase::kReadPhase);
-    return restart_or_abort(t, cost);
-  }
-  restart_victims(result.victims);
-  t.set_validated(seq, result.serial_ts);
-  next_seq_.store(seq + 1, std::memory_order_release);
-  t.set_phase(txn::Phase::kWritePhase);
-  return {StepAction::kContinue, cost};
-}
-
-StepResult Engine::step_write_phase(txn::Transaction& t) {
-  obs::ScopedSpan span(obs::tracer(), obs::Phase::kWritePhase, t.id());
-  mark_stage(t, obs::Stage::kWritePhase);
-  const auto& writes = t.write_set();
-  em().installs.inc(writes.size());
-  const bool logging = log_writer_.mode() != LogMode::kOff;
-  Duration cost =
-      config_.costs.per_install * static_cast<std::int64_t>(writes.size());
-  if (logging) {
-    cost += config_.costs.per_log_marshal *
-            static_cast<std::int64_t>(writes.size() + 1);
-  }
-
-  // Install the deferred copies (paper §2: deferred write) and, when
-  // logging, generate the redo stream (paper §3: "each update also
-  // generates a log record containing transaction identification, data item
-  // identification and an after image"; a commit record is generated even
-  // for read-only transactions). Deletes install as tombstones; index keys
-  // are maintained alongside.
-  for (const txn::WriteEntry& w : writes) {
-    if (w.is_delete()) {
-      store_.tombstone(w.oid, t.serial_ts());
-      if (w.has_key && index_) index_->erase(w.key);
-    } else {
-      store_.upsert(w.oid, w.after, t.serial_ts());
-      if (w.has_key && index_) {
-        if (!index_->insert(w.key, w.oid)) index_->update(w.key, w.oid);
-      }
-    }
-  }
-  cc_->on_installed(t, store_);
-
-  mark_installed(t.validation_seq());
-  t.set_phase(txn::Phase::kWaitLogAck);
-  mark_stage(t, obs::Stage::kLogFlush);
-  const TxnId id = t.id();
-  if (!logging) {
-    // "No logs" configuration: nothing to marshal or wait for.
-    if (hooks_.on_log_durable) hooks_.on_log_durable(id);
-    return {StepAction::kWaitLogAck, cost};
-  }
-  log_writer_.submit(
-      t.validation_seq(), marshal_records(t),
-      [this, id] {
-        if (hooks_.on_log_durable) hooks_.on_log_durable(id);
-      },
-      config_.clock ? &t.stages : nullptr);
-  return {StepAction::kWaitLogAck, cost};
-}
-
 std::vector<log::Record> Engine::marshal_records(
     const txn::Transaction& t) const {
   const auto& writes = t.write_set();
   std::vector<log::Record> records;
   records.reserve(writes.size() + 1);
+  // Paper §3: "each update also generates a log record containing
+  // transaction identification, data item identification and an after
+  // image"; a commit record is generated even for read-only transactions.
   for (const txn::WriteEntry& w : writes) {
     if (w.is_delete()) {
       records.push_back(w.has_key
                             ? log::Record::tombstone(t.id(), w.oid, w.key)
                             : log::Record::tombstone(t.id(), w.oid));
     } else if (w.has_key) {
-      records.push_back(log::Record::insert_image(t.id(), w.oid, w.after, w.key));
+      records.push_back(
+          log::Record::insert_image(t.id(), w.oid, w.after, w.key));
     } else {
       records.push_back(log::Record::write_image(t.id(), w.oid, w.after));
     }
@@ -605,35 +498,38 @@ std::vector<log::Record> Engine::marshal_records(
 }
 
 StepResult Engine::step_commit_unlocked(txn::Transaction& t) {
-  return commit_transaction(t, /*seal_inline=*/false);
+  return commit_transaction(t, /*serial=*/false);
 }
 
-StepResult Engine::commit_transaction(txn::Transaction& t, bool seal_inline) {
-  assert(parallel_commit_);
+StepResult Engine::commit_transaction(txn::Transaction& t, bool serial) {
   assert(t.phase() == txn::Phase::kReadPhase && t.program_done());
-  // A deferred victimization may land right up to the moment validation
-  // begins; honour it here (same contract as step()'s serial boundary).
-  if (t.consume_restart_request()) {
-    restart(t);
-    return {StepAction::kRestarted, Duration::zero()};
-  }
+  // Validation and the write phase form one atomic step (Kung-Robinson
+  // critical section; the paper's "transactions are validated
+  // atomically"): intents and validate_mu_ keep other committers from
+  // validating against half-installed state.
   t.set_phase(txn::Phase::kValidating);
 
   const Duration validate_cost = config_.costs.validate;
   cc::IntentTable::Guard intents;
   bool ok = false;
-  ValidationTs serial_ts = 0;
   {
     obs::ScopedSpan span(obs::tracer(), obs::Phase::kValidate, t.id());
     mark_stage(t, obs::Stage::kValidate);
-    em().validations.inc();
     // Intents before validation: a write-write conflict serializes fully
     // at the intent stripe, so the later writer's Step-1 floors observe
     // the earlier writer's *installed* wts and per-record install order
     // always equals validation-sequence order (mirror replay stays
-    // byte-identical with the serial path).
+    // byte-identical with the primary).
     intents = intents_.acquire(t.write_set());
-    auto lock = maybe_validate_lock();
+    std::lock_guard lock(validate_mu_);
+    // A deferred victimization may land right up to the moment validation
+    // begins — its requester held validate_mu_ — so honour it here (same
+    // contract as step()'s serial boundary).
+    if (t.consume_restart_request()) {
+      restart_unsynchronized(t);
+      return {StepAction::kRestarted, Duration::zero()};
+    }
+    em().validations.inc();
     // Reader-vs-installer: an optimistic snapshot proves committed state
     // only if no foreign committer currently intends the object — a
     // validated-but-not-yet-installed writer has not bumped the wts the
@@ -656,20 +552,16 @@ StepResult Engine::commit_transaction(txn::Transaction& t, bool seal_inline) {
     if (ok) {
       t.set_validated(seq, result.serial_ts);
       next_seq_.store(seq + 1, std::memory_order_release);
-      serial_ts = result.serial_ts;
       // Publish committed-reader floors NOW, inside the validation
       // critical section — not at install. A later writer validating
       // before our install must already serialize above our reads;
       // committed-writer floors are published by the installs themselves
       // inside each record's seqlock.
       for (const txn::ReadEntry& r : t.read_set()) {
-        store_.bump_rts(r.oid, serial_ts);
+        store_.bump_rts(r.oid, result.serial_ts);
       }
-      // Forward-adjusted victims: defer (txns_ is already locked here;
-      // restart_victims would re-lock).
       for (TxnId vid : result.victims) {
-        auto it = txns_.find(vid);
-        if (it != txns_.end()) it->second->request_restart();
+        restart_victim_locked(vid, /*defer=*/!serial);
       }
     }
   }
@@ -694,11 +586,13 @@ StepResult Engine::commit_transaction(txn::Transaction& t, bool seal_inline) {
     obs::ScopedSpan span(obs::tracer(), obs::Phase::kWritePhase, t.id());
     t.set_phase(txn::Phase::kWritePhase);
     mark_stage(t, obs::Stage::kWritePhase);
-    // Install under the gate (shared) with the intents still held. The
-    // install bookkeeping and the sealer append stay inside the gate
-    // section so a unique holder (checkpoint, join snapshot) observes
-    // every transaction either fully absent or installed+marked+appended —
-    // a seal under the gate then drains dense through the low-water.
+    // Install the deferred copies (paper §2: deferred write) under the
+    // gate (shared) with the intents still held; deletes install as
+    // tombstones, index keys alongside. The install bookkeeping and the
+    // sealer append stay inside the gate section so a unique holder
+    // (checkpoint, join snapshot) observes every transaction either fully
+    // absent or installed+marked+appended — a seal under the gate then
+    // drains dense through the low-water.
     std::shared_lock gate(install_gate_);
     for (const txn::WriteEntry& w : writes) {
       if (w.is_delete()) {
@@ -711,10 +605,12 @@ StepResult Engine::commit_transaction(txn::Transaction& t, bool seal_inline) {
         }
       }
     }
-    // No cc_->on_installed here: read-set rts floors were published at
-    // validation, write-set wts floors by the installs above.
     {
-      auto lock = maybe_validate_lock();
+      // Read-set rts floors were published at validation, write-set wts
+      // floors by the installs above; on_installed only lets 2PL release
+      // its locks before the seal.
+      std::lock_guard lock(validate_mu_);
+      cc_->on_installed(t);
       mark_installed(t.validation_seq());
     }
     t.set_phase(txn::Phase::kWaitLogAck);
@@ -733,15 +629,14 @@ StepResult Engine::commit_transaction(txn::Transaction& t, bool seal_inline) {
     sealer_.append(std::move(entry));
   }
   intents.release();
-  if (seal_inline) seal_epoch();
+  if (serial) seal_epoch();
   return {StepAction::kWaitLogAck, cost};
 }
 
 std::size_t Engine::seal_epoch() {
   return sealer_.seal([this](log::WorkerRedoEntry&& e) {
     if (log_writer_.mode() == LogMode::kOff) {
-      // "No logs": durable immediately, nothing shipped — matches the
-      // serial path, which skips submit() entirely in kOff.
+      // "No logs": durable immediately, nothing shipped.
       if (e.on_durable) e.on_durable();
       return;
     }
@@ -769,7 +664,7 @@ StepResult Engine::step_finalize(txn::Transaction& t) {
   t.set_phase(txn::Phase::kCommitted);
   t.set_outcome(TxnOutcome::kCommitted);
   {
-    auto lock = maybe_validate_lock();
+    std::lock_guard lock(validate_mu_);
     txns_.erase(t.id());
   }
   mark_stage(t, obs::Stage::kDone);

@@ -64,15 +64,6 @@ struct EngineConfig {
   /// real-time node passes its steady clock, the simulator passes itself.
   /// Null disables stage accounting.
   const Clock* clock{nullptr};
-  /// Parallel commit path (DESIGN.md §13): validation + install run under
-  /// per-record write intents and the engine's validation mutex instead of
-  /// the driver's commit mutex, and redo records flow through the epoch
-  /// sealer. Forced off for controllers without a lock-free read phase
-  /// (2PL). The flag is static for an engine's lifetime — the *driver*
-  /// decides per transaction whether to commit outside its mutex
-  /// (parallel_commit_active()), but the locking discipline never changes
-  /// underneath in-flight transactions.
-  bool parallel_commit{false};
 };
 
 enum class StepAction : std::uint8_t {
@@ -92,8 +83,10 @@ struct StepResult {
 class Engine {
  public:
   struct Hooks {
-    /// A concurrency-control victim was reset to its read phase; the driver
-    /// must cancel its in-flight CPU work and reschedule it.
+    /// A concurrency-control victim was reset to its read phase in a serial
+    /// context; the driver must cancel its in-flight CPU work and
+    /// reschedule it. Fires under the engine's validation mutex, like
+    /// on_lock_granted: neither may call back into the engine.
     std::function<void(TxnId)> on_victim_restart;
     /// A blocked (2PL) transaction's lock was granted.
     std::function<void(TxnId)> on_lock_granted;
@@ -126,25 +119,23 @@ class Engine {
   [[nodiscard]] std::optional<StepResult> step_read_unlocked(
       txn::Transaction& t);
 
-  /// Whether the parallel commit path is compiled in for this engine
-  /// (config flag, resolved against the controller's capabilities).
-  [[nodiscard]] bool parallel_commit() const { return parallel_commit_; }
-
   /// Whether a driver may commit a transaction outside its commit mutex
-  /// right now. Recovery only deactivates (the redo index drains under the
-  /// commit mutex); it never reactivates, so a false->true transition
-  /// cannot race an in-flight serial commit.
+  /// right now: false while a recovery drain runs (the redo index mutates
+  /// under the commit mutex). Recovery only deactivates; it never
+  /// reactivates, so a false->true transition cannot race an in-flight
+  /// serial commit.
   [[nodiscard]] bool parallel_commit_active() const {
     const log::RedoIndex* rec = recovery_.load(std::memory_order_acquire);
-    return parallel_commit_ && !(rec && rec->active());
+    return !(rec && rec->active());
   }
 
-  /// Validate + install + append to the epoch sealer WITHOUT the driver's
-  /// commit mutex (parallel commit path). The caller owns the transaction,
-  /// which is at a read-phase boundary with its program done. The redo
-  /// entry is buffered: the driver must call seal_epoch() under its commit
-  /// mutex afterwards (kWaitLogAck results park until the sealed submit's
-  /// ack; kOff durable fires inside that seal).
+  /// The commit step WITHOUT the driver's commit mutex. The caller owns the
+  /// transaction, which is at a read-phase boundary with its program done,
+  /// and keeps t.lock_free_executing() set until it re-takes the commit
+  /// mutex. Victims are deferred. The redo entry is buffered: the driver
+  /// must call seal_epoch() under its commit mutex afterwards (kWaitLogAck
+  /// results park until the sealed submit's ack; kOff durable fires inside
+  /// that seal).
   StepResult step_commit_unlocked(txn::Transaction& t);
 
   /// Drain the per-worker buffers and dispatch the dense seq prefix to the
@@ -154,8 +145,8 @@ class Engine {
 
   /// Install gate: committers install after-images holding it shared;
   /// whole-store readers (checkpoint writer, join snapshots) take it
-  /// unique to see no half-installed transaction. Meaningful only when
-  /// parallel_commit() is on. Lock order: driver commit mutex -> gate.
+  /// unique to see no half-installed transaction. Lock order: driver
+  /// commit mutex -> gate.
   [[nodiscard]] std::shared_mutex& install_gate() { return install_gate_; }
 
   /// Per-record write intents (exposed for point-read fallbacks that must
@@ -195,9 +186,10 @@ class Engine {
 
   /// Instant recovery (DESIGN.md §12): while `redo` is active, serial
   /// fetches replay an object's deferred chain on first touch, and
-  /// optimistic read phases always fall back to the serial path (the index
-  /// mutates under the driver's commit mutex). Pass nullptr to detach; the
-  /// pointer must outlive the engine or a later detach.
+  /// optimistic read phases and commits always fall back to the serial
+  /// path (the index mutates under the driver's commit mutex). Pass
+  /// nullptr to detach; the pointer must outlive the engine or a later
+  /// detach.
   void set_recovery(log::RedoIndex* redo) {
     recovery_.store(redo, std::memory_order_release);
   }
@@ -209,14 +201,12 @@ class Engine {
   // can re-run the same pc serially under the commit mutex.
   StepResult step_read_phase(txn::Transaction& t, bool optimistic,
                              bool* fallback);
-  StepResult step_validate(txn::Transaction& t);
-  StepResult step_write_phase(txn::Transaction& t);
   StepResult step_finalize(txn::Transaction& t);
 
-  /// Committed-record fetch for one read-phase access. Serial mode returns
-  /// the store record; optimistic mode copies a seqlock snapshot into
-  /// `snap` and returns &snap (nullptr on miss; sets `*fallback` and
-  /// returns nullptr on retry exhaustion).
+  /// Committed-record fetch for one read-phase access: copies a seqlock
+  /// snapshot into `snap` and returns &snap (nullptr on miss). Serial mode
+  /// replays the redo index first and outlasts contention; optimistic
+  /// mode sets `*fallback` and returns nullptr on retry exhaustion.
   const storage::ObjectRecord* fetch(ObjectId oid, storage::ObjectRecord& snap,
                                      bool optimistic, bool* fallback);
 
@@ -236,28 +226,26 @@ class Engine {
   /// Reset a transaction to its read phase (self restart or victim).
   void restart(txn::Transaction& t);
   void restart_unsynchronized(txn::Transaction& t);
-  void restart_victims(const std::vector<TxnId>& victims);
+  /// Victim handling. A serial context (`defer` false) restarts a victim
+  /// at once and fires on_victim_restart, unless its owner is running it
+  /// outside the commit mutex (lock_free_executing): then, as always when
+  /// `defer` is set, the owner consumes a restart request at its next
+  /// step boundary. The _locked variant requires validate_mu_.
+  void restart_victims(const std::vector<TxnId>& victims);  ///< serial
+  void restart_victim_locked(TxnId id, bool defer);
   /// Self restart unless the budget is exhausted (then terminal abort).
   StepResult restart_or_abort(txn::Transaction& t, Duration cost);
 
-  /// The unified commit step: validate under per-record intents + the
-  /// validation mutex, install under the gate, append to the epoch sealer.
-  /// `seal_inline` (serial contexts: the simulator, a driver holding its
-  /// commit mutex) seals immediately, so kOff configurations fire their
-  /// durable callback before this returns — matching the serial path.
-  StepResult commit_transaction(txn::Transaction& t, bool seal_inline);
+  /// The commit step, the only one (DESIGN.md §13): validate under
+  /// per-record intents + the validation mutex, install under the gate,
+  /// append to the epoch sealer. `serial` (the simulator, a driver holding
+  /// its commit mutex) restarts victims inline and seals immediately, so
+  /// kOff configurations fire their durable callback before this returns.
+  StepResult commit_transaction(txn::Transaction& t, bool serial);
 
   /// Marshal the redo stream (after-images + commit record, paper §3).
   [[nodiscard]] std::vector<log::Record> marshal_records(
       const txn::Transaction& t) const;
-
-  /// Serializes cc state, txns_, next_seq_ and the install bookkeeping
-  /// against concurrent committers — only when the parallel path is
-  /// compiled in; a no-op lock otherwise, so serial drivers pay nothing.
-  [[nodiscard]] std::unique_lock<std::mutex> maybe_validate_lock() {
-    return parallel_commit_ ? std::unique_lock<std::mutex>(validate_mu_)
-                            : std::unique_lock<std::mutex>();
-  }
 
   EngineConfig config_;
   storage::ObjectStore& store_;
@@ -277,10 +265,9 @@ class Engine {
   std::set<ValidationTs> installed_gap_;  ///< installed above the low-water
   std::atomic<std::uint64_t> restarts_{0};
 
-  /// Parallel commit path (DESIGN.md §13). parallel_commit_ is the config
-  /// flag resolved against the controller (2PL opts out); the mutexes and
-  /// tables below are only contended when it is on.
-  bool parallel_commit_{false};
+  /// Commit path (DESIGN.md §13). validate_mu_ serializes cc state, txns_,
+  /// next_seq_ and the install bookkeeping against concurrent committers;
+  /// the controller's victim and wakeup handlers run under it.
   std::mutex validate_mu_;
   std::shared_mutex install_gate_;
   cc::IntentTable intents_;

@@ -73,21 +73,21 @@ void Node::GuardedChannel::set_message_handler(MessageHandler handler) {
         {
           std::unique_lock lock(node->commit_mu_);
           if (node->channel_epoch_ != epoch) return;  // role torn down
-          // Parallel commit path (DESIGN.md §13): join frames serve a
-          // snapshot whose boundary is the installed low-water. Seal first
-          // so the log writer's tail covers every installed transaction,
-          // and hold the install gate while the handler walks replication
-          // state so no committer is mid-install under it. Acks and
-          // heartbeats read no store state and skip both.
+          // Join frames serve a snapshot whose boundary is the installed
+          // low-water (DESIGN.md §13). Hold the install gate while the
+          // handler walks replication state so no committer is mid-install
+          // under it, and seal under it: every installed transaction has
+          // appended its redo entry by then, so the log writer's tail
+          // covers the whole low-water. Acks and heartbeats read no store
+          // state and skip both.
           std::unique_lock<std::shared_mutex> gate;
-          if (node->engine_ && node->engine_->parallel_commit() &&
-              repl::frame_serves_join(frame)) {
+          if (node->engine_ && repl::frame_serves_join(frame)) {
+            gate = std::unique_lock(node->engine_->install_gate());
             node->engine_->seal_epoch();
             // A rare seal site: ship what it sealed inline, ahead of the
             // snapshot (the handler holds commit_mu_, so the writer and
             // replicator cannot be torn down under this pump).
             node->log_writer_->pump();
-            gate = std::unique_lock(node->engine_->install_gate());
           }
           // Commit acks finish parked transactions right here (see
           // finish_parked_locked); their done callbacks run below, after
@@ -271,7 +271,8 @@ void Node::build_primary_locked(LogMode mode) {
   link_down_since_.reset();
   mirror_.reset();
   replicator_.reset();
-  log_writer_ = std::make_unique<log::LogWriter>(LogMode::kOff, disk_.get(), nullptr);
+  log_writer_ =
+      std::make_unique<log::LogWriter>(LogMode::kOff, disk_.get(), nullptr);
   log_writer_->set_stage_clock(&clock_);
   if (peer_) {
     guarded_channel_ = std::make_unique<GuardedChannel>(*this, *peer_);
@@ -341,19 +342,11 @@ void Node::build_primary_locked(LogMode mode) {
   }
   log_writer_->set_mode(mode);
 
-  // Parallel commit (DESIGN.md §13): with more than one worker, OCC
-  // transactions validate and install outside commit_mu_ (per-record write
-  // intents + the engine's validation mutex), and redo records reach the
-  // LogWriter through the epoch sealer. The engine opts back out for
-  // controllers without a lock-free read phase (2PL).
-  config_.engine.parallel_commit =
-      config_.engine.parallel_commit || config_.worker_threads > 1;
-
   // Every engine hook fires with commit_mu_ held (worker serial sections,
   // channel handlers, the timer's flush path), so push_ready's park-resume
   // handshake is race-free by construction.
   engine::Engine::Hooks hooks;
-  hooks.on_victim_restart = [this](TxnId id) { push_ready(id); };
+  hooks.on_victim_restart = [this](TxnId id) { requeue_victim(id); };
   hooks.on_lock_granted = [this](TxnId id) { push_ready(id); };
   hooks.on_log_durable = [this](TxnId id) {
     if (ack_callbacks_ && finish_parked_locked(id, *ack_callbacks_)) return;
@@ -489,17 +482,15 @@ bool Node::serving_locked() const {
 }
 
 Status Node::write_checkpoint_at_locked(ValidationTs boundary) {
-  // Parallel committers install outside commit_mu_; the unique gate makes
-  // the store walk see no half-installed transaction. (Mirror-role callers
-  // have no engine — their applies run serially under commit_mu_.)
+  // Committers install outside commit_mu_; the unique gate makes the store
+  // walk see no half-installed transaction. (Mirror-role callers have no
+  // engine — their applies run serially under commit_mu_.)
   // The whole encode counts as stall: commit_mu_ is held throughout, so
   // every committer waits for the full store walk (the cost the fuzzy
   // path exists to avoid).
   obs::ScopedTimer stall(nm().checkpoint_stall);
   std::unique_lock<std::shared_mutex> gate;
-  if (engine_ && engine_->parallel_commit()) {
-    gate = std::unique_lock(engine_->install_gate());
-  }
+  if (engine_) gate = std::unique_lock(engine_->install_gate());
   Status s = storage::write_checkpoint_file(store_, boundary,
                                             config_.checkpoint_path, &index_);
   if (s) {
@@ -524,12 +515,9 @@ Status Node::write_checkpoint_fuzzy_locked(ValidationTs boundary) {
   std::vector<storage::IndexOp> journal;
   {
     obs::ScopedTimer stall(nm().checkpoint_stall);
-    std::unique_lock<std::shared_mutex> gate;
-    if (engine_->parallel_commit()) {
-      engine_->seal_epoch();
-      log_writer_->pump();  // rare seal site: ship inline, under commit_mu_
-      gate = std::unique_lock(engine_->install_gate());
-    }
+    engine_->seal_epoch();
+    log_writer_->pump();  // rare seal site: ship inline, under commit_mu_
+    std::unique_lock gate(engine_->install_gate());
     // A base is forced when there is no chain to extend, when the chain is
     // long enough that replaying deltas would dominate recovery, or when
     // the journal was lost (e.g. a failed base write disabled it).
@@ -737,7 +725,8 @@ Result<log::RecoveryStats> Node::recover_from_local_state() {
   // window from here to the first post-restart commit is the restart
   // downtime the flight recorder reports.
   availability_.set_serving(false, clock_.now().us);
-  const bool instant = config_.instant_recovery && config_.log_segment_bytes > 0;
+  const bool instant =
+      config_.instant_recovery && config_.log_segment_bytes > 0;
   Result<log::RecoveryStats> stats = [&]() -> Result<log::RecoveryStats> {
     if (instant) {
       // Instant recovery (DESIGN.md §12): load the checkpoint, index the
@@ -752,8 +741,9 @@ Result<log::RecoveryStats> Node::recover_from_local_state() {
                ? log::recover_checkpoint_and_segments(config_.checkpoint_path,
                                                       config_.log_path, store_,
                                                       &index_)
-               : log::recover_checkpoint_and_log(
-                     config_.checkpoint_path, config_.log_path, store_, &index_);
+               : log::recover_checkpoint_and_log(config_.checkpoint_path,
+                                                 config_.log_path, store_,
+                                                 &index_);
   }();
   if (instant) {
     if (!stats.is_ok() || !recovery_->active()) {
@@ -778,10 +768,11 @@ Result<log::RecoveryStats> Node::recover_from_local_state() {
           static_cast<unsigned long long>(stats.value().deferred_txns),
           static_cast<unsigned long long>(recovered_next_seq_));
     } else {
-      RODAIN_INFO("%s: local recovery done (%llu txns replayed, next seq %llu)",
-                  name_.c_str(),
-                  static_cast<unsigned long long>(stats.value().committed_applied),
-                  static_cast<unsigned long long>(recovered_next_seq_));
+      RODAIN_INFO(
+          "%s: local recovery done (%llu txns replayed, next seq %llu)",
+          name_.c_str(),
+          static_cast<unsigned long long>(stats.value().committed_applied),
+          static_cast<unsigned long long>(recovered_next_seq_));
     }
     if (obs::tracing_enabled()) {
       obs::tracer().record_instant(obs::Phase::kRecovery,
@@ -969,8 +960,8 @@ void Node::submit(txn::TxnProgram program, DoneFn done) {
               ? TimePoint::max()
               : now + program.relative_deadline;
       Active a;
-      a.txn = std::make_unique<txn::Transaction>(id, ++admission_seq_,
-                                                 std::move(program), now, deadline);
+      a.txn = std::make_unique<txn::Transaction>(
+          id, ++admission_seq_, std::move(program), now, deadline);
       a.done = std::move(done);
       if (obs::enabled()) a.txn->stages.enter(obs::Stage::kAdmit, now.us);
       engine_->begin(*a.txn);
@@ -1012,27 +1003,22 @@ Result<storage::Value> Node::get(ObjectId oid) {
     return Status::error(ErrorCode::kAborted, "read transaction aborted");
   }
   std::lock_guard lock(commit_mu_);
-  if (engine_ && engine_->parallel_commit()) {
-    // Committers install outside commit_mu_: read through the seqlock; on
-    // contention exclude the installer via its write-intent stripe and
-    // retry once (the stripe holder cannot be mid-install afterwards).
-    storage::ObjectRecord snap;
-    std::uint32_t retries = 0;
-    storage::OptimisticRead r = store_.read_optimistic(oid, snap, retries);
-    if (retries != 0) read_retry_counter().inc(retries);
-    if (r == storage::OptimisticRead::kContended) {
-      const auto intent = engine_->intents().acquire_one(oid);
-      retries = 0;
-      r = store_.read_optimistic(oid, snap, retries);
-    }
-    if (r != storage::OptimisticRead::kHit || snap.deleted) {
-      return Status::error(ErrorCode::kNotFound, "no such object");
-    }
-    return std::move(snap.value);
+  // Committers install outside commit_mu_: read through the seqlock; on
+  // contention exclude the installer via its write-intent stripe and retry
+  // once (the stripe holder cannot be mid-install afterwards).
+  storage::ObjectRecord snap;
+  std::uint32_t retries = 0;
+  storage::OptimisticRead r = store_.read_optimistic(oid, snap, retries);
+  if (retries != 0) read_retry_counter().inc(retries);
+  if (r == storage::OptimisticRead::kContended && engine_) {
+    const auto intent = engine_->intents().acquire_one(oid);
+    retries = 0;
+    r = store_.read_optimistic(oid, snap, retries);
   }
-  const storage::ObjectRecord* rec = store_.find(oid);
-  if (!rec) return Status::error(ErrorCode::kNotFound, "no such object");
-  return rec->value;
+  if (r != storage::OptimisticRead::kHit || snap.deleted) {
+    return Status::error(ErrorCode::kNotFound, "no such object");
+  }
+  return std::move(snap.value);
 }
 
 Result<storage::Value> Node::read_committed(ObjectId oid) {
@@ -1080,6 +1066,18 @@ void Node::push_ready(TxnId id) {
     return;
   }
   ready_.emplace(a.txn->priority(), id);
+  ready_cv_.notify_one();
+}
+
+void Node::requeue_victim(TxnId id) {
+  // A victim restarted inline is not lock_free_executing, so an owner is
+  // waiting for commit_mu_ (held here) and re-reads the phase once it has
+  // it; resume_pending would wrongly un-park it at its next wait point. An
+  // unowned victim is queued already (OCC) or parked on a lock (2PL).
+  std::lock_guard q(queue_mu_);
+  auto it = active_.find(id);
+  if (it == active_.end() || it->second.owned_by_worker) return;
+  ready_.emplace(it->second.txn->priority(), id);
   ready_cv_.notify_one();
 }
 
@@ -1143,11 +1141,15 @@ void Node::drive(TxnId id, std::unique_lock<std::mutex>& qlock) {
   qlock.unlock();
 
   std::vector<std::pair<DoneFn, CommitInfo>> callbacks;
+  // Take commit_mu_ before the first look at t: a serial committer may be
+  // restarting it as a victim right now (Engine::restart_victims).
   std::unique_lock commit(commit_mu_, std::defer_lock);
+  lock_commit(commit);
   // While true, t->lock_free_executing() is set and commit_mu_ is released:
-  // the worker streams read-phase steps against seqlock snapshots while
-  // other workers validate/install. Victimizers see the flag (they hold
-  // commit_mu_) and defer the restart; we consume it at the next step.
+  // the worker streams read-phase steps against seqlock snapshots, and
+  // commits, while other workers validate/install. Victimizers see the
+  // flag (they hold commit_mu_) and defer the restart; we consume it at
+  // the next step.
   bool unlocked_reads = false;
   bool done = false;
   while (!done) {
@@ -1165,7 +1167,8 @@ void Node::drive(TxnId id, std::unique_lock<std::mutex>& qlock) {
     }
     if (unlocked_reads) {
       if (stopping_.load(std::memory_order_relaxed)) break;
-      if (std::optional<engine::StepResult> r = engine_->step_read_unlocked(*t)) {
+      if (std::optional<engine::StepResult> r =
+              engine_->step_read_unlocked(*t)) {
         if (r->cost.is_positive() &&
             config_.engine.costs.per_read.is_positive()) {
           // Optional fidelity mode: burn the modelled CPU cost for real
@@ -1178,14 +1181,11 @@ void Node::drive(TxnId id, std::unique_lock<std::mutex>& qlock) {
       }
       if (t->phase() == txn::Phase::kReadPhase && t->program_done() &&
           engine_->parallel_commit_active()) {
-        // Parallel commit (DESIGN.md §13): validate + install WITHOUT
-        // commit_mu_ — per-record write intents and the engine's validation
-        // mutex serialize what must be serial. Clearing the flag needs no
-        // mutex here: with the parallel path compiled in, victimizers
-        // always defer instead of reading lock_free_executing
-        // (Engine::restart_victims).
-        t->set_lock_free_executing(false);
-        unlocked_reads = false;
+        // Commit (DESIGN.md §13): validate + install WITHOUT commit_mu_ —
+        // per-record write intents and the engine's validation mutex
+        // serialize what must be serial. The flag stays set until
+        // commit_mu_ is re-taken, so a serial committer defers instead of
+        // restarting us mid-commit; a restart keeps reading unlocked.
         const engine::StepResult pr = engine_->step_commit_unlocked(*t);
         if (pr.cost.is_positive() &&
             config_.engine.costs.per_read.is_positive()) {
@@ -1198,6 +1198,8 @@ void Node::drive(TxnId id, std::unique_lock<std::mutex>& qlock) {
         // below the dense edge) joins the globally seq-ordered stream the
         // LogWriter sees; kOff durables fire inside this call.
         lock_commit(commit);
+        t->set_lock_free_executing(false);
+        unlocked_reads = false;
         engine_->seal_epoch();
         if (stopping_.load(std::memory_order_relaxed)) break;
         if (pr.action == engine::StepAction::kAborted) {
@@ -1221,9 +1223,9 @@ void Node::drive(TxnId id, std::unique_lock<std::mutex>& qlock) {
         }
         continue;
       }
-      // The next step must run serially: validation is up (with the
-      // parallel path inactive — recovery drain), a deferred victim-restart
-      // is pending, or the optimistic read hit contention.
+      // The next step must run serially: validation is up during a
+      // recovery drain, a deferred victim-restart is pending, or the
+      // optimistic read hit contention.
       lock_commit(commit);
       t->set_lock_free_executing(false);
       unlocked_reads = false;
@@ -1288,8 +1290,9 @@ void Node::drive(TxnId id, std::unique_lock<std::mutex>& qlock) {
   qlock.lock();
 }
 
-void Node::finish_locked(TxnId id, TxnOutcome outcome,
-                         std::vector<std::pair<DoneFn, CommitInfo>>& callbacks) {
+void Node::finish_locked(
+    TxnId id, TxnOutcome outcome,
+    std::vector<std::pair<DoneFn, CommitInfo>>& callbacks) {
   Active a;
   {
     std::lock_guard q(queue_mu_);
@@ -1398,7 +1401,7 @@ void Node::timer_loop() {
         if (it == active_.end()) continue;
         Active& a = it->second;
         a.deadline_slot.reset();  // erased above
-        // Ownership first: a parallel-commit owner mutates the phase with
+        // Ownership first: a committing owner mutates the phase with
         // neither node mutex held, so can_abort (which reads it) may only
         // run on unowned entries — those quiesced their phase writes before
         // releasing ownership under queue_mu_.

@@ -6,17 +6,20 @@
 // peer node running the Mirror role, and a heartbeat/watchdog thread drives
 // the §2 role transitions.
 //
-// Locking (DESIGN.md §11): two node-level mutexes instead of the historical
-// single lock. `commit_mu_` serializes everything that mutates engine or
-// replication state — validation, write phase, the epoch seal into the log
-// writer's outbox, role flips, admission, deadline aborts. Encoding and
-// sending the redo stream is not under it: a worker pumps the outbox
-// (LogWriter::pump) after releasing it. `queue_mu_` guards only the EDF
-// ready queue and the per-transaction worker-ownership flags, so workers
-// can pop work and park without convoying on committers. OCC read-phase steps run with
-// NEITHER mutex held (Engine::step_read_unlocked): reads come from
-// per-record seqlock snapshots and the B+-tree's reader lock. Lock order:
-// commit_mu_ -> queue_mu_ -> per-transaction leaf mutexes.
+// Locking (DESIGN.md §11, §13): two node-level mutexes instead of the
+// historical single lock. `commit_mu_` serializes everything that mutates
+// replication state — the epoch seal into the log writer's outbox, role
+// flips, admission, deadline aborts — and every serial engine step.
+// Encoding and sending the redo stream is not under it: a worker pumps the
+// outbox (LogWriter::pump) after releasing it. `queue_mu_` guards only the
+// EDF ready queue and the per-transaction worker-ownership flags, so
+// workers can pop work and park without convoying on committers. OCC
+// read-phase steps and the commit itself (Engine::step_read_unlocked,
+// Engine::step_commit_unlocked) run with NEITHER mutex held: reads come
+// from per-record seqlock snapshots and the B+-tree's reader lock, and
+// committers serialize on per-record write intents and the engine's
+// validation mutex. Lock order: commit_mu_ -> engine validation mutex ->
+// queue_mu_ -> per-transaction leaf mutexes.
 //
 // The commit path is event-driven. Background threads sleep until their
 // own deadline and are not woken by per-transaction traffic:
@@ -138,7 +141,7 @@ struct NodeConfig {
   NodeConfig() {
     engine.costs = engine::CostModel::zero();
     // CI runs the whole integration tier a second time with RODAIN_WORKERS=4
-    // so every test exercises the parallel read phase.
+    // so every test exercises the commit path with concurrent committers.
     if (const char* env = std::getenv("RODAIN_WORKERS")) {
       char* end = nullptr;
       const long n = std::strtol(env, &end, 10);
@@ -238,10 +241,13 @@ class Node {
   /// replication objects.
   class GuardedChannel final : public net::Channel {
    public:
-    GuardedChannel(Node& node, net::Channel& inner) : node_(node), inner_(inner) {}
+    GuardedChannel(Node& node, net::Channel& inner)
+        : node_(node), inner_(inner) {}
     void set_message_handler(MessageHandler handler) override;
     void set_disconnect_handler(DisconnectHandler handler) override;
-    Status send(std::vector<std::byte> frame) override { return inner_.send(std::move(frame)); }
+    Status send(std::vector<std::byte> frame) override {
+      return inner_.send(std::move(frame));
+    }
     [[nodiscard]] bool connected() const override { return inner_.connected(); }
     void close() override { inner_.close(); }
 
@@ -282,9 +288,12 @@ class Node {
   /// Detach + retire a drained/abandoned redo index (requires commit_mu_).
   void finish_recovery_locked(const char* how);
   /// Queue a transaction for a worker (takes queue_mu_ itself). Callers on
-  /// resume paths (log-durable, lock-granted, victim-restart hooks) hold
-  /// commit_mu_, which is what makes park-vs-resume race-free.
+  /// resume paths (log-durable, lock-granted hooks) hold commit_mu_, which
+  /// is what makes park-vs-resume race-free.
   void push_ready(TxnId id);
+  /// Victim-restart hook (requires commit_mu_): queue the victim unless a
+  /// worker owns it — that owner re-reads its phase, it is not parked.
+  void requeue_victim(TxnId id);
   /// Log-durable hook on the channel thread: if `id` is parked (unowned,
   /// in kWaitLogAck), finalize and finish it here, appending its done
   /// callback to `callbacks`. False leaves it to push_ready (a worker owns

@@ -117,10 +117,11 @@ struct ObjectRecord {
                std::memory_order_release);
   }
 
-  /// Timestamp bumps that race optimistic readers (cc::on_installed runs
-  /// under the commit mutex, not the table lock). A lone u64 store cannot
-  /// tear, so no seqlock round-trip is needed; readers tolerate a stale
-  /// rts/wts the same way they tolerate one read a microsecond earlier.
+  /// Timestamp bumps that race optimistic readers (the engine publishes
+  /// rts under its validation mutex, not the table lock). A lone u64 store
+  /// cannot tear, so no seqlock round-trip is needed; readers tolerate a
+  /// stale rts/wts the same way they tolerate one read a microsecond
+  /// earlier.
   void bump_rts(ValidationTs ts) {
     std::atomic_ref<ValidationTs> r(rts);
     if (ts > r.load(std::memory_order_relaxed)) {
@@ -250,7 +251,8 @@ class ObjectStore {
 
   /// Visit every live object (iteration order is unspecified but stable
   /// between mutations). Used by checkpointing and snapshot shipping.
-  void for_each(const std::function<void(ObjectId, const ObjectRecord&)>& fn) const;
+  void for_each(
+      const std::function<void(ObjectId, const ObjectRecord&)>& fn) const;
 
   /// Remove everything (recovery restart).
   void clear();

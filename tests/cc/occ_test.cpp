@@ -40,8 +40,8 @@ struct Rig {
   void write(txn::Transaction& t, ObjectId oid, std::string_view v) {
     auto r = cc->on_write(t, oid, store.find(oid));
     ASSERT_EQ(r.decision, Access::kGranted);
-    t.write_copy(oid, store.find(oid) ? store.find(oid)->value : storage::Value{}) =
-        val(v);
+    t.write_copy(oid, store.find(oid) ? store.find(oid)->value
+                                      : storage::Value{}) = val(v);
   }
 
   ValidationResult validate(txn::Transaction& t) {
@@ -49,19 +49,23 @@ struct Rig {
     if (result.ok) {
       t.set_validated(next_seq, result.serial_ts);
       ++next_seq;
-      // Install as the engine would (atomically with validation).
+      // Publish and install as the engine would (atomically with
+      // validation): read floors at validation, write floors by upsert.
+      for (const txn::ReadEntry& r : t.read_set()) {
+        store.bump_rts(r.oid, t.serial_ts());
+      }
       for (const txn::WriteEntry& w : t.write_set()) {
         store.upsert(w.oid, w.after, t.serial_ts());
       }
-      cc->on_installed(t, store);
+      cc->on_installed(t);
     }
     return result;
   }
 };
 
 TEST(Occ, NonConflictingTxnsAllCommit) {
-  for (Protocol protocol : {Protocol::kOccBc, Protocol::kOccDa, Protocol::kOccTi,
-                            Protocol::kOccDati}) {
+  for (Protocol protocol : {Protocol::kOccBc, Protocol::kOccDa,
+                            Protocol::kOccTi, Protocol::kOccDati}) {
     Rig rig(protocol);
     auto& t1 = rig.begin();
     auto& t2 = rig.begin();
@@ -126,7 +130,8 @@ TEST(Occ, DaCannotCommitBackwardAndRestartsItself) {
 }
 
 TEST(Occ, WriteWriteForcesForwardOrder) {
-  for (Protocol protocol : {Protocol::kOccDa, Protocol::kOccTi, Protocol::kOccDati}) {
+  for (Protocol protocol :
+       {Protocol::kOccDa, Protocol::kOccTi, Protocol::kOccDati}) {
     Rig rig(protocol);
     auto& w1 = rig.begin();
     auto& w2 = rig.begin();
@@ -165,7 +170,8 @@ TEST(Occ, RereadOfUnchangedObjectIsFine) {
 TEST(Occ, SandwichedTransactionRestarts) {
   // T both read something the committer wrote AND wrote something the
   // committer read: it must serialize both before and after -> empty.
-  for (Protocol protocol : {Protocol::kOccDa, Protocol::kOccTi, Protocol::kOccDati}) {
+  for (Protocol protocol :
+       {Protocol::kOccDa, Protocol::kOccTi, Protocol::kOccDati}) {
     Rig rig(protocol);
     auto& t = rig.begin();
     auto& committer = rig.begin();

@@ -72,7 +72,8 @@ TEST(LatencyHistogram, QuantilesOrdered) {
   LatencyHistogram h;
   Rng rng(7);
   for (int i = 0; i < 10000; ++i) {
-    h.add(Duration::micros(static_cast<std::int64_t>(rng.next_below(100000)) + 1));
+    h.add(Duration::micros(
+        static_cast<std::int64_t>(rng.next_below(100000)) + 1));
   }
   EXPECT_LE(h.quantile(0.1), h.quantile(0.5));
   EXPECT_LE(h.quantile(0.5), h.quantile(0.9));
@@ -102,6 +103,32 @@ TEST(LatencyHistogram, ZeroAndNegativeGoToFirstBucket) {
   h.add(Duration::micros(-5));
   EXPECT_EQ(h.count(), 2u);
   EXPECT_EQ(h.quantile(1.0).us, 0);
+}
+
+TEST(LatencyHistogram, SumIsExactSoIntervalTotalsNeverGoNegative) {
+  // mean() truncates to whole us, so mean() * count can shrink when a
+  // sample arrives: {2, 2} totals 4 us, {2, 2, 1} gives mean 1 us * 3.
+  // The exact sum differenced across any interval is the interval's own
+  // samples, never negative.
+  LatencyHistogram h;
+  h.add(2_us);
+  h.add(2_us);
+  double before = h.sum_us();
+  EXPECT_EQ(before, 4.0);
+  h.add(1_us);
+  EXPECT_EQ(h.sum_us() - before, 1.0);
+  EXPECT_LT(h.mean().us * 3, static_cast<std::int64_t>(before));
+
+  Rng rng(5);
+  for (int i = 0; i < 2000; ++i) {
+    before = h.sum_us();
+    const auto us = static_cast<std::int64_t>(rng.next_below(5000));
+    h.add(Duration::micros(us));
+    EXPECT_EQ(h.sum_us() - before, static_cast<double>(us));
+  }
+  LatencyHistogram merged;
+  merged.merge(h);
+  EXPECT_EQ(merged.sum_us(), h.sum_us());
 }
 
 TEST(LatencyHistogram, SummaryMentionsPercentiles) {

@@ -23,7 +23,9 @@ namespace {
 using namespace rodain::literals;
 
 storage::Value val(std::string_view s) { return storage::Value{s}; }
-storage::Value zeros8() { return storage::Value{std::string_view{"\0\0\0\0\0\0\0\0", 8}}; }
+storage::Value zeros8() {
+  return storage::Value{std::string_view{"\0\0\0\0\0\0\0\0", 8}};
+}
 
 TEST(RtNode, SingleNodeCommitAndRead) {
   rt::NodeConfig config;
@@ -42,6 +44,27 @@ TEST(RtNode, SingleNodeCommitAndRead) {
   EXPECT_EQ(value.value(), val("updated"));
   EXPECT_EQ(node.counters().committed, 2u);  // the update + the read
   node.stop();
+}
+
+// Node::get reads through a transaction: a committed delete reads as
+// missing at every worker count (the tombstone stays in the store only to
+// keep its timestamps).
+TEST(RtNode, GetOfDeletedObjectIsNotFound) {
+  for (const std::size_t workers : {1, 2}) {
+    rt::NodeConfig config;
+    config.worker_threads = workers;
+    rt::Node node(config, "solo");
+    node.store().upsert(1, val("doomed"), 0);
+    node.start_primary(LogMode::kOff);
+    txn::TxnProgram p;
+    p.erase(1);
+    p.relative_deadline = 5_s;
+    ASSERT_EQ(node.execute(std::move(p)).outcome, TxnOutcome::kCommitted);
+    auto value = node.get(1);
+    ASSERT_FALSE(value.is_ok()) << workers << " workers";
+    EXPECT_EQ(value.status().code(), ErrorCode::kNotFound);
+    node.stop();
+  }
 }
 
 TEST(RtNode, CounterIncrementsAreAtomic) {
@@ -134,7 +157,8 @@ TEST(RtNode, TwoNodeLogShippingOverTcp) {
   EXPECT_EQ(primary.counters().committed, 50u);
 
   // The mirror applied everything the primary committed.
-  for (int waited = 0; waited < 100 && mirror.mirror_applied_seq() < 50; ++waited) {
+  for (int waited = 0; waited < 100 && mirror.mirror_applied_seq() < 50;
+       ++waited) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_GE(mirror.mirror_applied_seq(), 50u);
@@ -214,7 +238,9 @@ TEST(RtNode, RejoinIsServedFromDiskArtifacts) {
   config.log_segment_bytes = 2048;
   config.checkpoint_path = (dir / "db.ckpt").string();
   rt::Node primary(config, "primary");
-  for (ObjectId oid = 1; oid <= 20; ++oid) primary.store().upsert(oid, zeros8(), 0);
+  for (ObjectId oid = 1; oid <= 20; ++oid) {
+    primary.store().upsert(oid, zeros8(), 0);
+  }
 
   primary.start_primary(LogMode::kDirectDisk, tcp.client_end.get());
   tcp.client_end->start();
@@ -262,9 +288,11 @@ TEST(Database, EmbeddedQuickstartFlow) {
   db::DatabaseOptions options;
   db::Database database(options);
   ASSERT_TRUE(database.put_raw(1, val("alice")));
-  ASSERT_TRUE(database.index_raw(storage::IndexKey::from_string("user:alice"), 1));
+  ASSERT_TRUE(
+      database.index_raw(storage::IndexKey::from_string("user:alice"), 1));
 
-  auto fetched = database.get_by_key(storage::IndexKey::from_string("user:alice"));
+  auto fetched =
+      database.get_by_key(storage::IndexKey::from_string("user:alice"));
   ASSERT_TRUE(fetched.is_ok());
   EXPECT_EQ(fetched.value(), val("alice"));
 
